@@ -228,10 +228,15 @@ let with_sink trace format f =
 
 let journal_arg =
   let doc =
-    "Journal the monitored run into $(docv) (created if missing): every \
-     committed interpreter box is appended as a checksummed record, with \
-     periodic atomic snapshots. A killed run is resumed with `secpol \
-     resume`."
+    Printf.sprintf
+      "Journal the monitored run into $(docv) (created if missing). One \
+       file, $(docv)/journal.bin ($(docv)/shard-I/journal.bin per shard), \
+       takes a checkpoint of the initial state, one checksummed record per \
+       committed interpreter box, and the verdict; the run syncs it once, \
+       after the verdict, before the reply is printed. A journal past %d \
+       KiB is compacted to its next checkpoint. A killed run is resumed \
+       with `secpol resume`."
+      (Media.compact_bytes / 1024)
   in
   Arg.(value & opt (some string) None & info [ "journal" ] ~docv:"DIR" ~doc)
 
@@ -243,7 +248,10 @@ let kill_at_arg =
   Arg.(value & opt (some int) None & info [ "kill-at" ] ~docv:"N" ~doc)
 
 let snapshot_every_arg =
-  let doc = "Fold the journal into a fresh snapshot every $(docv) records." in
+  let doc =
+    "Append a fresh checkpoint of the whole monitor state every $(docv) \
+     records; recovery replays at most $(docv) records past it."
+  in
   Arg.(
     value
     & opt int Runner.default_snapshot_every
@@ -555,11 +563,12 @@ let resume_cmd =
   Cmd.v
     (Cmd.info "resume"
        ~doc:
-         "Recover a journaled run: replay the last snapshot plus the journal \
-          suffix and continue under the same monitor. Bit-identical to the \
-          uninterrupted run on intact media; degrades to the violation \
-          notice \xce\x9b/recovery on unrecoverable media. Exits 0 when the \
-          run was reproduced, 1 on \xce\x9b/recovery, 2 on usage errors.")
+         "Recover a journaled run: replay the last checkpoint plus the \
+          journal suffix and continue under the same monitor. \
+          Bit-identical to the uninterrupted run on intact media; degrades \
+          to the violation notice \xce\x9b/recovery on unrecoverable media. \
+          Exits 0 when the run was reproduced, 1 on \xce\x9b/recovery, 2 on \
+          usage errors.")
     Term.(const run $ dir $ trace_arg $ trace_format_arg)
 
 (* --- certify --------------------------------------------------------------- *)

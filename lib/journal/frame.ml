@@ -10,9 +10,13 @@
    - CORRUPTION — a complete frame whose checksum fails, or bytes that are
      not a frame at all. Appends cannot produce that; the medium lied, so
      nothing after the damage can be trusted and the scan refuses the whole
-     journal with a typed error (the caller degrades to Λ/recovery). *)
+     journal with a typed error (the caller degrades to Λ/recovery).
+
+   A checkpoint frame is a framed snapshot retagged "sc": the two magics
+   differ in two bits, so no single flipped bit turns one into the other. *)
 
 let magic = "sj"
+let checkpoint_magic = "sc"
 let header_size = 2 + 4 + 4
 
 let u32_max = 0xFFFFFFFF
@@ -31,6 +35,14 @@ let frame payload =
 
 let append buf payload = Buffer.add_string buf (frame payload)
 
+let retag ~from ~into s =
+  if String.length s < 2 || String.sub s 0 2 <> from then
+    invalid_arg "Frame: not a frame of the expected kind";
+  into ^ String.sub s 2 (String.length s - 2)
+
+let to_checkpoint = retag ~from:magic ~into:checkpoint_magic
+let of_checkpoint = retag ~from:checkpoint_magic ~into:magic
+
 let get_u32 s pos = Int32.to_int (String.get_int32_le s pos) land u32_max
 
 type scan = { records : string list; dropped_bytes : int }
@@ -44,13 +56,18 @@ let scan s =
       Ok { records = List.rev acc; dropped_bytes = n - pos }
     else
       let m = String.sub s pos 2 in
-      if m <> magic then Error (Codec.Bad_magic { got = m; want = magic })
+      if m <> magic && m <> checkpoint_magic then
+        Error (Codec.Bad_magic { got = m; want = magic })
       else
         let len = get_u32 s (pos + 2) in
         let crc = get_u32 s (pos + 6) in
         if pos + header_size + len > n then
-          (* Torn mid-payload: header complete, payload cut short at EOF. *)
+          (* Torn mid-payload: header complete, payload cut short at EOF. A
+             crash can tear the checkpoint that opens a run as well as a
+             record. *)
           Ok { records = List.rev acc; dropped_bytes = n - pos }
+        else if m = checkpoint_magic then
+          Error (Codec.Bad_magic { got = m; want = magic })
         else
           let payload = String.sub s (pos + header_size) len in
           if Codec.crc32 payload <> crc then
@@ -72,3 +89,26 @@ let one s =
         (Codec.Malformed
            (Printf.sprintf "expected exactly one frame, found %d"
               (List.length records)))
+
+type layout = {
+  last_checkpoint : (int * int) option;
+  whole : int;
+  damaged : bool;
+}
+
+let walk ~size header =
+  let rec go pos last =
+    let stop damaged = { last_checkpoint = last; whole = pos; damaged } in
+    if size - pos < header_size then stop false
+    else
+      let h = header pos in
+      let m = String.sub h 0 2 in
+      if m <> magic && m <> checkpoint_magic then stop true
+      else
+        let total = header_size + get_u32 h 2 in
+        if pos + total > size then stop false
+        else go (pos + total) (if m = checkpoint_magic then Some (pos, total) else last)
+  in
+  go 0 None
+
+let layout s = walk ~size:(String.length s) (fun pos -> String.sub s pos header_size)

@@ -250,10 +250,12 @@ type outcome =
 (* Shared by fresh runs and resumed ones. Commit one box at a time; after
    each commit append its full-state record, and every [snapshot_every]
    records fold the journal into a fresh snapshot. The verdict is appended
-   BEFORE it is returned: once a reply has been released it is on the
-   medium, so no recovery can ever contradict an already-released verdict.
-   [kill_at] stops the loop after that many committed (journaled) boxes —
-   the chaos sweep's simulated process death. *)
+   and the medium synced BEFORE it is returned: once a reply has been
+   released it is durable, so no recovery can ever contradict an
+   already-released verdict. That sync is the run's one barrier; the
+   frames before the verdict ride on it. [kill_at] stops the loop after
+   that many committed (journaled) boxes — the chaos sweep's simulated
+   process death. *)
 let journaled_loop ?kill_at ?(sink = Sink.null) ~media ~header m st0 =
   let nonce = header.run_nonce in
   let boxes = ref 0 and since_snap = ref 0 in
@@ -280,6 +282,7 @@ let journaled_loop ?kill_at ?(sink = Sink.null) ~media ~header m st0 =
         match Dynamic.step m st with
         | Dynamic.Final r ->
             Media.append media (Frame.frame (verdict_payload ~nonce r));
+            Media.sync media;
             Sink.emit sink (Event.of_reply r);
             Completed r
         | Dynamic.Step st' ->
@@ -320,6 +323,7 @@ let run ?kill_at ?(snapshot_every = default_snapshot_every) ?(sink = Sink.null)
       Media.checkpoint media (Frame.frame (snapshot_payload header None));
       Media.append media
         (Frame.frame (verdict_payload ~nonce:header.run_nonce r));
+      Media.sync media;
       Sink.emit sink (Event.of_reply r);
       Completed r
   | Ok st0 ->

@@ -1,16 +1,21 @@
 (** The durable enforcement runner: journaled monitored runs and recovery.
 
     {!run} drives {!Secpol_taint.Dynamic}'s step machine and commits each
-    interpreter box to a {!Media.t} as a framed full-state record, with a
-    periodic atomic snapshot folding the journal down. The verdict is
-    appended {e before} the reply is released, so a crash can never lose an
+    interpreter box to a {!Media.t} as a framed full-state record, after a
+    checkpoint of the initial state and with a fresh checkpoint every
+    [snapshot_every] records. None of these writes waits for the disk. The
+    verdict frame comes last, followed by the run's one barrier,
+    {!Media.sync}: {!run} and {!resume} return only once the verdict and
+    every frame before it are durable, so a crash can never lose an
     already-delivered answer. {!resume} rebuilds the run from the last
-    intact snapshot plus the journal suffix and continues it under the same
-    monitor; on an intact medium the resumed run is bit-identical (response
-    {e and} step count) to the uninterrupted one, and on a corrupted medium
-    it returns a typed {!failure} which the fail-secure supervisor maps to
-    the violation notice [Λ/recovery] — degraded recovery lands in [F],
-    never in a disallowed grant. *)
+    intact checkpoint plus the journal suffix and continues it under the
+    same monitor; on an intact medium the resumed run is bit-identical
+    (response {e and} step count) to the uninterrupted one, and on a
+    corrupted medium it returns a typed {!failure} which the fail-secure
+    supervisor maps to the violation notice [Λ/recovery] — degraded
+    recovery lands in [F], never in a disallowed grant. A verdict already
+    on the medium is re-delivered as found, with no write and no barrier.
+    {!Media} lists what a crash leaves behind. *)
 
 type header = {
   program_ref : string;  (** how to find the program again, e.g. a corpus entry name *)
@@ -31,7 +36,7 @@ type header = {
           verdict under a new header would be fail-open). *)
 }
 (** Everything needed to re-create the monitor configuration and restart
-    the run from scratch; written into every snapshot. *)
+    the run from scratch; written into every checkpoint. *)
 
 val graph_hash : Secpol_flowgraph.Graph.t -> string
 
@@ -62,18 +67,18 @@ val run :
   Secpol_core.Value.t array ->
   outcome
 (** Run the monitored interpreter, journaling every committed box.
-    [kill_at n] aborts after [n] journaled boxes (fault injection);
-    [snapshot_every] bounds the journal length between snapshots. [sink]
-    (default null) receives the journal lifecycle: the run header, one
-    checkpoint event per folded snapshot, and the verdict. Per-box trace
+    [kill_at n] aborts after [n] journaled boxes (fault injection), before
+    any barrier; [snapshot_every] bounds the records between checkpoints.
+    [sink] (default null) receives the journal lifecycle: the run header,
+    one event per checkpoint after the first, and the verdict. Per-box trace
     events flow through the configuration's own [emit] channel, not the
     sink.
     @raise Invalid_argument if [snapshot_every < 1]. *)
 
 type failure =
-  | No_journal  (** the medium has no snapshot at all *)
+  | No_journal  (** the medium has no checkpoint at all *)
   | Decode of Codec.decode_error
-      (** corrupted snapshot, journal, or state image — the journal is
+      (** corrupted checkpoint, journal, or state image — the journal is
           untrusted and the run degrades to [Λ/recovery] *)
   | Program_mismatch of string
       (** the resolver's graph does not hash to the journaled one *)
@@ -98,13 +103,14 @@ val resume :
   media:Media.t ->
   unit ->
   (resumed, failure) result
-(** Recover the run on [media]: load the last snapshot, replay the journal
-    suffix (adopting records by strictly increasing step count, which makes
-    replay idempotent and skips stale pre-snapshot records; records whose
-    run nonce differs from the snapshot header's are strays from a previous
-    run of a reused medium and are skipped wholesale, verdicts included),
-    then either re-deliver the journaled verdict or continue executing —
-    journaling as it goes, so a crash during recovery also recovers.
+(** Recover the run on [media]: load the last checkpoint, replay the
+    journal suffix (adopting records by strictly increasing step count,
+    which makes replay idempotent and skips stale pre-checkpoint records;
+    records whose run nonce differs from the checkpoint header's are strays
+    from a previous run of a reused medium and are skipped wholesale,
+    verdicts included), then either re-deliver the journaled verdict or
+    continue executing — journaling as it goes, so a crash during recovery
+    also recovers, and syncing after the verdict as {!run} does.
     [resolve] maps the journaled {!header} back to a graph; a digest or
     arity mismatch is a {!Program_mismatch}. [sink] (default null)
     receives the recovery lifecycle — a replay-skip event per rejected

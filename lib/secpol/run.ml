@@ -191,9 +191,7 @@ let distributed cfg g =
               let journal () =
                 match j.media with
                 | `Memory -> Media.memory ()
-                | `Dir d ->
-                    if not (Sys.file_exists d) then Sys.mkdir d 0o755;
-                    Media.dir (Filename.concat d (Printf.sprintf "shard-%d" i))
+                | `Dir d -> Media.dir (Filename.concat d (Printf.sprintf "shard-%d" i))
               in
               Dist_shard.create ~guard ~journal
                 ~snapshot_every:j.snapshot_every ~sink:cfg.trace ~fuel:cfg.fuel

@@ -11,14 +11,13 @@ type t = backend
 
 let memory () = Memory { media = Hashtbl.create 16; blobs = Hashtbl.create 16 }
 
-let rec mkdir_p path =
-  if not (Sys.file_exists path) then begin
-    mkdir_p (Filename.dirname path);
-    (try Sys.mkdir path 0o755 with Sys_error _ -> ())
-  end
+(* Make [path] and its missing parents, and make their new entries
+   durable: each directory made is fsynced into its parent. *)
+let mkdir_durable path =
+  List.iter (fun d -> Media.fsync_dir (Filename.dirname d)) (Media.mkdir_p path)
 
 let dir root =
-  mkdir_p root;
+  mkdir_durable root;
   if not (Sys.is_directory root) then
     invalid_arg (Printf.sprintf "Store.dir: %s is not a directory" root);
   Dir root
@@ -45,10 +44,7 @@ let media t key =
           let m = Media.memory () in
           Hashtbl.add media key m;
           m)
-  | Dir root ->
-      let path = key_path root key in
-      mkdir_p (Filename.dirname path);
-      Media.dir path
+  | Dir root -> Media.dir (key_path root key)
 
 let has_media t key =
   match t with
@@ -64,12 +60,11 @@ let put t key data =
   | Memory { blobs; _ } -> Hashtbl.replace blobs key data
   | Dir root ->
       let path = blob_path root key in
-      mkdir_p (Filename.dirname path);
+      mkdir_durable (Filename.dirname path);
       let tmp = path ^ ".tmp" in
-      let oc = open_out_bin tmp in
-      output_string oc data;
-      close_out oc;
-      Sys.rename tmp path
+      Media.write_file_sync tmp data;
+      Sys.rename tmp path;
+      Media.fsync_dir (Filename.dirname path)
 
 let get t key =
   match t with

@@ -21,12 +21,15 @@ val media : t -> string -> Secpol_journal.Media.t
 (** The journal medium for [key], created empty on first use. The same
     key returns the same underlying bytes across engine restarts (the
     {!memory} backend keeps the medium alive; the {!dir} backend reopens
-    the subdirectory). *)
+    the subdirectory). A new subdirectory's entry is made durable by the
+    medium's first {!Secpol_journal.Media.sync}. *)
 
 val has_media : t -> string -> bool
 
 val put : t -> string -> string -> unit
-(** Durably store a blob at [key] (atomic replace). *)
+(** Durably store a blob at [key] (atomic replace): the tmp file is
+    fsynced before the rename and its directory after it, and any
+    directory made on the way is fsynced into its parent. *)
 
 val get : t -> string -> string option
 

@@ -236,22 +236,8 @@ let test_memory_media () =
   Alcotest.(check bool) "appends accumulate" true
     (Media.load m = Some ("snap1", "r2r3"))
 
-let with_temp_dir f =
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "secpol_journal_test_%d" (Hashtbl.hash (Sys.time ())))
-  in
-  let cleanup () =
-    if Sys.file_exists dir then begin
-      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-      Sys.rmdir dir
-    end
-  in
-  cleanup ();
-  Fun.protect ~finally:cleanup (fun () -> f dir)
-
 let test_dir_media_kill_resume () =
-  with_temp_dir (fun dir ->
+  with_scratch_dir (fun dir ->
       let e = Paper.forgetting in
       let cfg = cfg_of e in
       let a = ints [ 3; 0 ] in
@@ -272,6 +258,333 @@ let test_dir_media_kill_resume () =
             Alcotest.fail "resume from disk not bit-identical"
       | Error f -> Alcotest.failf "resume failed: %s" (Runner.failure_message f));
       Media.close media')
+
+(* --- the one-file directory layout --------------------------------------- *)
+
+(* ex7 under allow(0): four boxes, so one run is a checkpoint, four records
+   and a verdict, far below the compaction size. *)
+let ex7 = Paper.ex7
+let ex7_graph = Paper.graph ex7
+let ex7_cfg = Dynamic.config ~fuel:4096 ~mode:Dynamic.Surveillance (Policy.allow [ 0 ])
+let ex7_clean a = Dynamic.run ex7_cfg ex7_graph a
+
+(* Two runs on one medium, told apart by the inputs in the recovered
+   header. *)
+let a_prev = ints [ 0; 3 ]
+let a_last = ints [ 1; 2 ]
+
+let run_ex7 ?kill_at media a =
+  Runner.run ?kill_at ~media ~program_ref:ex7.Paper.name ex7_cfg ex7_graph a
+
+let complete_run dir a =
+  let media = Media.dir dir in
+  (match run_ex7 media a with
+  | Runner.Completed r ->
+      if r <> ex7_clean a then Alcotest.fail "journaled run diverged"
+  | Runner.Killed _ -> Alcotest.fail "no kill requested");
+  Media.close media
+
+let journal_of dir = read_file (Filename.concat dir Media.journal_file)
+
+let resume_dir dir =
+  let media = Media.dir dir in
+  let r = Runner.resume ~resolve ~media () in
+  Media.close media;
+  r
+
+(* The two files a run journaled to memory leaves, written as the older
+   two-file layout: [snapshot.bin] plus [journal.bin]. *)
+let write_legacy dir a =
+  let media = Media.memory () in
+  ignore (run_ex7 media a);
+  match Media.load media with
+  | None -> Alcotest.fail "memory run left no snapshot"
+  | Some (snapshot, journal) ->
+      ignore (Media.mkdir_p dir);
+      write_file (Filename.concat dir Media.snapshot_file) snapshot;
+      write_file (Filename.concat dir Media.journal_file) journal
+
+(* The whole frames of [s] from [from] on: (offset, total length). *)
+let frames_from s from =
+  let rec go pos acc =
+    if String.length s - pos < Frame.header_size then List.rev acc
+    else
+      let size =
+        Frame.header_size
+        + (Int32.to_int (String.get_int32_le s (pos + 2)) land 0xFFFFFFFF)
+      in
+      if pos + size > String.length s then List.rev acc
+      else go (pos + size) ((pos, size) :: acc)
+  in
+  go from []
+
+let test_frame_checkpoint_layout () =
+  let ck = Frame.to_checkpoint (Frame.frame "snap") in
+  Alcotest.(check string) "retagged" Frame.checkpoint_magic (String.sub ck 0 2);
+  Alcotest.(check string) "round trip" (Frame.frame "snap") (Frame.of_checkpoint ck);
+  let s = Frame.frame "r0" ^ ck ^ Frame.frame "r1" in
+  let l = Frame.layout s in
+  Alcotest.(check (option (pair int int))) "last checkpoint"
+    (Some (String.length (Frame.frame "r0"), String.length ck))
+    l.Frame.last_checkpoint;
+  Alcotest.(check int) "all whole" (String.length s) l.Frame.whole;
+  (* A torn checkpoint is a crash artifact, not damage: the walk stops
+     before it, and a journal suffix scan drops it. *)
+  let torn = Frame.frame "r0" ^ String.sub ck 0 (String.length ck - 1) in
+  let l = Frame.layout torn in
+  Alcotest.(check bool) "torn checkpoint not adopted" true (l.Frame.last_checkpoint = None);
+  Alcotest.(check bool) "torn is not damage" false l.Frame.damaged;
+  (match Frame.scan torn with
+  | Ok { Frame.records = [ "r0" ]; dropped_bytes } ->
+      Alcotest.(check int) "dropped" (String.length ck - 1) dropped_bytes
+  | _ -> Alcotest.fail "a torn checkpoint at EOF is a torn tail");
+  (match Frame.scan (Frame.frame "r0" ^ ck) with
+  | Error (Codec.Bad_magic _) -> ()
+  | _ -> Alcotest.fail "a whole checkpoint is no journal record");
+  Alcotest.(check bool) "foreign bytes are damage" true
+    (Frame.layout (Frame.frame "r0" ^ "xx" ^ String.make 20 'y')).Frame.damaged
+
+(* One barrier per run: appends and checkpoints never wait for the disk,
+   the verdict is followed by exactly one fsync, and nothing the run wrote
+   is left unsynced when [run] or [resume] returns. *)
+let test_one_fsync_per_run () =
+  with_scratch_dir (fun root ->
+      let dir = Filename.concat root "a/b/req-0" in
+      let first = Media.dir dir in
+      ignore (run_ex7 first a_prev);
+      (* A new medium: journal.bin, plus the entries of journal.bin in
+         req-0 and of a, a/b and req-0 in their parents. *)
+      Alcotest.(check int) "new medium" 5 (Media.fsyncs first);
+      Media.close first;
+      for _ = 1 to 3 do
+        let media = Media.dir dir in
+        ignore (run_ex7 media a_last);
+        Alcotest.(check int) "existing medium: one fsync" 1 (Media.fsyncs media);
+        Alcotest.(check int) "nothing left unsynced" 0 (Media.pending media);
+        Media.close media
+      done;
+      let killed = Media.dir dir in
+      (match run_ex7 ~kill_at:2 killed a_prev with
+      | Runner.Killed _ -> ()
+      | Runner.Completed _ -> Alcotest.fail "expected the kill to land");
+      Alcotest.(check int) "checkpoint and records do not sync" 0 (Media.fsyncs killed);
+      Alcotest.(check bool) "they are written" true (Media.pending killed > 0);
+      Media.close killed;
+      let resumed = Media.dir dir in
+      (match Runner.resume ~resolve ~media:resumed () with
+      | Ok res ->
+          Alcotest.(check bool) "finished the run" false res.Runner.was_complete;
+          if res.Runner.reply <> ex7_clean a_prev then Alcotest.fail "resume diverged"
+      | Error f -> Alcotest.failf "resume: %s" (Runner.failure_message f));
+      Alcotest.(check int) "resume: one fsync" 1 (Media.fsyncs resumed);
+      Alcotest.(check int) "resume: nothing unsynced" 0 (Media.pending resumed);
+      Media.close resumed;
+      let reread = Media.dir dir in
+      (match Runner.resume ~resolve ~media:reread () with
+      | Ok res -> Alcotest.(check bool) "verdict on the medium" true res.Runner.was_complete
+      | Error f -> Alcotest.failf "resume: %s" (Runner.failure_message f));
+      Alcotest.(check int) "re-delivery writes nothing" 0 (Media.fsyncs reread);
+      Media.close reread)
+
+(* What a medium recovers to, named by the run it came from. *)
+let recovered_run dir =
+  match resume_dir dir with
+  | Error Runner.No_journal -> `Nothing
+  | Error f -> `Refused (Runner.failure_message f)
+  | Ok res ->
+      let a = res.Runner.header.Runner.inputs in
+      if res.Runner.reply <> ex7_clean a then `Diverged
+      else if a = a_last then `Last
+      else if a = a_prev then `Prev
+      else `Diverged
+
+let show_recovered = function
+  | `Nothing -> "no journal"
+  | `Refused m -> "refused: " ^ m
+  | `Diverged -> "a reply that is no run's clean verdict"
+  | `Last -> "the last run"
+  | `Prev -> "the previous run"
+
+(* A medium before its last run: its files, and what it recovers to. *)
+type setup = { label : string; prepare : string -> unit; before : [ `Nothing | `Prev ] }
+
+let setups =
+  [
+    { label = "fresh"; prepare = ignore; before = `Nothing };
+    { label = "reused"; prepare = (fun d -> complete_run d a_prev); before = `Prev };
+    { label = "legacy two-file"; prepare = (fun d -> write_legacy d a_prev); before = `Prev };
+  ]
+
+(* Lay [files] down in a fresh [dir]. *)
+let materialize dir files =
+  rm_rf dir;
+  ignore (Media.mkdir_p dir);
+  List.iter (fun (name, bytes) -> write_file (Filename.concat dir name) bytes) files
+
+let snapshot_files dir =
+  let p = Filename.concat dir Media.snapshot_file in
+  if Sys.file_exists p then [ (Media.snapshot_file, read_file p) ] else []
+
+(* Cut journal.bin at every byte of the last run: each cut recovers the
+   run's own verdict or what the medium held before it — never a decode
+   error, never any other run. Once the run's checkpoint is whole, every
+   longer cut recovers the run itself. *)
+let test_cut_every_byte () =
+  with_scratch_dir (fun root ->
+      List.iter
+        (fun st ->
+          let dir = Filename.concat root "medium" and copy = Filename.concat root "cut" in
+          rm_rf dir;
+          ignore (Media.mkdir_p dir);
+          st.prepare dir;
+          let pre =
+            let p = Filename.concat dir Media.journal_file in
+            if Sys.file_exists p then read_file p else ""
+          in
+          complete_run dir a_last;
+          let post = journal_of dir in
+          if String.sub post 0 (String.length pre) <> pre then
+            Alcotest.failf "%s: the run rewrote earlier bytes" st.label;
+          let snap = snapshot_files dir in
+          let reached_last = ref false in
+          for cut = String.length pre to String.length post do
+            materialize copy ((Media.journal_file, String.sub post 0 cut) :: snap);
+            match (recovered_run copy, st.before) with
+            | `Last, _ -> reached_last := true
+            | `Nothing, `Nothing | `Prev, `Prev when not !reached_last -> ()
+            | r, _ ->
+                Alcotest.failf "%s: cut at byte %d of %d recovered %s" st.label cut
+                  (String.length post) (show_recovered r)
+          done;
+          if not !reached_last then Alcotest.failf "%s: the whole run never recovered" st.label)
+        setups)
+
+(* A run that starts a compaction: a crash before the rename leaves the
+   old journal (and a stray tmp file); after it, the journal is the new
+   checkpoint alone, synced, and every cut past it recovers the run. *)
+let test_cut_around_compaction () =
+  with_scratch_dir (fun root ->
+      let dir = Filename.concat root "medium" and copy = Filename.concat root "cut" in
+      while
+        (not (Sys.file_exists (Filename.concat dir Media.journal_file)))
+        || String.length (journal_of dir) < Media.compact_bytes
+      do
+        complete_run dir a_prev
+      done;
+      let pre = journal_of dir in
+      let media = Media.dir dir in
+      ignore (run_ex7 media a_last);
+      Alcotest.(check int) "compaction: tmp, directory, then the verdict" 3
+        (Media.fsyncs media);
+      Media.close media;
+      let post = journal_of dir in
+      let ck =
+        match (Frame.layout post).Frame.last_checkpoint with
+        | Some (0, len) -> len
+        | _ -> Alcotest.fail "a compacted journal opens with its checkpoint"
+      in
+      Alcotest.(check bool) "compacted" true (String.length post < String.length pre);
+      List.iter
+        (fun tmp_len ->
+          materialize copy
+            [ (Media.journal_file, pre); (Media.journal_file ^ ".tmp", String.sub post 0 tmp_len) ];
+          match recovered_run copy with
+          | `Prev -> ()
+          | r -> Alcotest.failf "crash before the rename recovered %s" (show_recovered r))
+        [ 0; ck / 2; ck ];
+      for cut = ck to String.length post do
+        materialize copy [ (Media.journal_file, String.sub post 0 cut) ];
+        match recovered_run copy with
+        | `Last -> ()
+        | r ->
+            Alcotest.failf "after the rename, cut at %d recovered %s" cut (show_recovered r)
+      done)
+
+(* Damage one byte of any whole frame of the last run: the magic, the
+   checksum, the payload, or a length shortened by one. Recovery refuses
+   the medium with a decode error; it never falls back to an earlier
+   checkpoint or to snapshot.bin. *)
+let test_damaged_byte_is_decode () =
+  with_scratch_dir (fun root ->
+      List.iter
+        (fun st ->
+          let dir = Filename.concat root "medium" and copy = Filename.concat root "damaged" in
+          rm_rf dir;
+          ignore (Media.mkdir_p dir);
+          st.prepare dir;
+          let pre =
+            let p = Filename.concat dir Media.journal_file in
+            if Sys.file_exists p then String.length (read_file p) else 0
+          in
+          complete_run dir a_last;
+          let post = journal_of dir in
+          let snap = snapshot_files dir in
+          let frames = frames_from post pre in
+          Alcotest.(check int) (st.label ^ ": checkpoint, 4 records, verdict") 6
+            (List.length frames);
+          List.iter
+            (fun (off, size) ->
+              for i = 0 to size - 1 do
+                let by = Bytes.of_string post in
+                let pos = off + i in
+                if i >= 2 && i < 6 then
+                  Bytes.set_int32_le by (off + 2)
+                    (Int32.of_int (size - Frame.header_size - 1))
+                else Bytes.set by pos (Char.chr (Char.code post.[pos] lxor 0xFF));
+                materialize copy ((Media.journal_file, Bytes.to_string by) :: snap);
+                match resume_dir copy with
+                | Error (Runner.Decode _) as e ->
+                    if
+                      (Guard.reply_of_recovery e).Mechanism.response
+                      <> Mechanism.Denied Guard.recovery_notice
+                    then Alcotest.failf "%s: a decode error escaped F" st.label
+                | Ok res ->
+                    Alcotest.failf "%s: damage at byte %d (frame at %d) resumed to %s"
+                      st.label pos off (show_mech_reply res.Runner.reply)
+                | Error f ->
+                    Alcotest.failf "%s: damage at byte %d gave %s, not a decode error"
+                      st.label pos (Runner.failure_message f)
+              done)
+            frames)
+        setups)
+
+(* A medium reused run after run stays bounded: compaction keeps
+   journal.bin under its threshold plus one run. *)
+let test_reused_medium_bounded () =
+  with_scratch_dir (fun root ->
+      let dir = Filename.concat root "medium" in
+      complete_run dir a_prev;
+      let one_run = String.length (journal_of dir) in
+      let largest = ref 0 and compactions = ref 0 and last = ref one_run in
+      for k = 1 to 1000 do
+        complete_run dir (if k mod 2 = 0 then a_prev else a_last);
+        let n = String.length (journal_of dir) in
+        if n < !last then incr compactions;
+        last := n;
+        largest := max !largest n
+      done;
+      if !largest >= Media.compact_bytes + one_run then
+        Alcotest.failf "journal.bin reached %d bytes (bound %d)" !largest
+          (Media.compact_bytes + one_run);
+      Alcotest.(check bool) "compacted more than once" true (!compactions > 1);
+      match recovered_run dir with
+      | `Prev -> ()
+      | r -> Alcotest.failf "after 1000 runs recovered %s" (show_recovered r))
+
+(* A crash can leave a torn frame at the end of journal.bin. The next run
+   on the medium must cut it first: a checkpoint appended after it could
+   never be walked to. *)
+let test_torn_tail_cut_before_next_run () =
+  with_scratch_dir (fun root ->
+      let dir = Filename.concat root "medium" in
+      complete_run dir a_prev;
+      let p = Filename.concat dir Media.journal_file in
+      let torn = Frame.frame (String.make 64 'r') in
+      write_file p (read_file p ^ String.sub torn 0 30);
+      complete_run dir a_last;
+      match recovered_run dir with
+      | `Last -> ()
+      | r -> Alcotest.failf "run after a torn tail recovered %s" (show_recovered r))
 
 (* --- the journaled runner ------------------------------------------------ *)
 
@@ -545,6 +858,16 @@ let () =
         [
           Alcotest.test_case "memory" `Quick test_memory_media;
           Alcotest.test_case "dir-kill-resume" `Quick test_dir_media_kill_resume;
+        ] );
+      ( "layout",
+        [
+          Alcotest.test_case "checkpoint-frames" `Quick test_frame_checkpoint_layout;
+          Alcotest.test_case "one-fsync-per-run" `Quick test_one_fsync_per_run;
+          Alcotest.test_case "cut-every-byte" `Quick test_cut_every_byte;
+          Alcotest.test_case "cut-around-compaction" `Quick test_cut_around_compaction;
+          Alcotest.test_case "damaged-byte-is-decode" `Quick test_damaged_byte_is_decode;
+          Alcotest.test_case "reused-medium-bounded" `Quick test_reused_medium_bounded;
+          Alcotest.test_case "torn-tail-cut" `Quick test_torn_tail_cut_before_next_run;
         ] );
       ( "runner",
         [

@@ -121,27 +121,13 @@ let test_batch_refuses_shared_dir_journal () =
 
 (* --- resume -------------------------------------------------------------- *)
 
-let with_temp_dir f =
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "secpol_run_test_%d" (Hashtbl.hash (Sys.time ())))
-  in
-  let cleanup () =
-    if Sys.file_exists dir then begin
-      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-      Sys.rmdir dir
-    end
-  in
-  cleanup ();
-  Fun.protect ~finally:cleanup (fun () -> f dir)
-
 let resolve (h : Runner.header) =
   match Paper.find h.Runner.program_ref with
   | e -> Ok (Paper.graph e)
   | exception Not_found -> Error ("unknown program " ^ h.Runner.program_ref)
 
 let test_resume_roundtrip () =
-  with_temp_dir (fun dir ->
+  with_scratch_dir (fun dir ->
       let e = Paper.find "ex7" in
       let g = Paper.graph e in
       let p = e.Paper.policy in

@@ -20,6 +20,9 @@ module Guard = Secpol_fault.Guard
 module FReport = Secpol_fault.Report
 module Hook = Secpol_flowgraph.Hook
 module Frame = Secpol_journal.Frame
+module Media = Secpol_journal.Media
+module Runner = Secpol_journal.Runner
+module Session = Secpol_server.Session
 module Metrics = Secpol_trace.Metrics
 module Expo = Secpol_trace.Expo
 module Http = Secpol_server.Http
@@ -509,15 +512,21 @@ let test_drain_answers_everything () =
   done;
   Alcotest.(check string) "post-drain request refused" overload (denial_of d 9)
 
+(* Each crash-restart case runs on the in-memory store and on a real
+   directory store. *)
+let on_both_stores f =
+  f (Store.memory ());
+  with_scratch_dir (fun root -> f (Store.dir root))
+
 (* Kill and restart on the same store: a journaled run resumes
    bit-identically, an unjournaled one degrades to Λ/recovery — never a
    grant out of thin air, never silence. *)
 let test_kill_restart_resume () =
   List.iter
     (fun journaled ->
+      on_both_stores @@ fun store ->
       let entry = Paper.find "ex7" in
       let policy = Policy.allow [ 0 ] in
-      let store = Store.memory () in
       let a = ints [ 2; 1 ] in
       let d = driver ~journaled ~store ~policy () in
       Engine.kill_next d.engine ~at_box:2;
@@ -545,6 +554,65 @@ let test_kill_restart_resume () =
         Alcotest.(check string) "unjournaled resume degrades" recovery
           (denial_of d2 5))
     [ true; false ]
+
+(* A store written in the older two-file layout — snapshot.bin plus
+   journal.bin per request, as a run journaled to memory leaves them, with
+   the session manifest beside them — boots with no migration and answers
+   Resume bit-identically. A new run on the same medium appends to its
+   journal.bin, and after another restart resumes bit-identically too.
+   direct-flow under allow(0,1) grants x0 + x1, so each reply names its
+   run. *)
+let test_legacy_store_boots () =
+  with_scratch_dir (fun root ->
+      let entry = Paper.direct_flow in
+      let policy = Policy.allow [ 0; 1 ] in
+      let spec =
+        {
+          Wire.session = session_name;
+          allowed = Option.get (Policy.allowed_indices policy);
+          mode = Dynamic.Surveillance;
+          fuel = 4096;
+          guard_retries = Guard.default.Guard.retries;
+          journaled = true;
+        }
+      in
+      let store = Store.dir root in
+      Session.save store (Session.create spec);
+      let old_inputs = ints [ 3; 0 ] and new_inputs = ints [ 1; 1 ] in
+      let media = Media.memory () in
+      ignore
+        (Runner.run ~media ~program_ref:entry.Paper.name
+           (Dynamic.config ~fuel:4096 ~mode:Dynamic.Surveillance policy)
+           (Paper.graph entry) old_inputs);
+      let dir =
+        Filename.concat root (Session.media_key ~session:session_name ~request_id:7)
+      in
+      (match Media.load media with
+      | None -> Alcotest.fail "memory run left no snapshot"
+      | Some (snapshot, journal) ->
+          ignore (Media.mkdir_p dir);
+          write_file (Filename.concat dir Media.snapshot_file) snapshot;
+          write_file (Filename.concat dir Media.journal_file) journal);
+      let resume_7 want =
+        let d = driver ~journaled:true ~store:(Store.dir root) ~policy () in
+        send d (Wire.Resume { session = session_name; request_id = 7 });
+        settle d;
+        let got = reply_of d 7 in
+        if got <> want then
+          Alcotest.failf "resume gave %s, clean %s" (FReport.show_reply got)
+            (FReport.show_reply want);
+        d
+      in
+      let d = resume_7 (clean_reply entry ~policy old_inputs) in
+      enforce d ~id:7 entry new_inputs;
+      settle d;
+      let want = clean_reply entry ~policy new_inputs in
+      if want = clean_reply entry ~policy old_inputs then
+        Alcotest.fail "the two runs must have different verdicts";
+      if reply_of d 7 <> want then Alcotest.fail "new run on the legacy medium diverged";
+      Alcotest.(check bool) "the legacy snapshot is left in place" true
+        (Sys.file_exists (Filename.concat dir Media.snapshot_file));
+      ignore (resume_7 want))
 
 (* The per-session circuit breaker: consecutive degraded outcomes trip
    it, tripped means Λ/overload (shed before execution), and the cooldown
@@ -1125,6 +1193,7 @@ let () =
           Alcotest.test_case "drain" `Quick test_drain_answers_everything;
           Alcotest.test_case "kill-restart-resume" `Quick
             test_kill_restart_resume;
+          Alcotest.test_case "legacy-store-boots" `Quick test_legacy_store_boots;
           Alcotest.test_case "circuit-breaker" `Quick
             test_breaker_trips_and_recovers;
           Alcotest.test_case "health" `Quick test_engine_health;

@@ -264,8 +264,6 @@ let with_temp_file f =
   let path = Filename.temp_file ~temp_dir:(Sys.getcwd ()) "trace" ".tmp" in
   Fun.protect ~finally:(fun () -> Sys.remove path) (fun () -> f path)
 
-let read_file path = In_channel.with_open_bin path In_channel.input_all
-
 let test_jsonl_file_sink () =
   with_temp_file (fun path ->
       let sink = Sink.to_file Sink.Jsonl path in

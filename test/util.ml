@@ -117,3 +117,22 @@ let load_corpus_manifest () =
                    line))
   in
   loop []
+
+let rec rm_rf path =
+  if Sys.file_exists path then
+    if Sys.is_directory path then begin
+      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
+
+(* A fresh directory under the system temp dir, removed with everything in
+   it when [f] returns. *)
+let with_scratch_dir f =
+  let dir = Filename.temp_dir "secpol_test_" "" in
+  Fun.protect ~finally:(fun () -> rm_rf dir) (fun () -> f dir)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let write_file path s =
+  Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
