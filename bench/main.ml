@@ -542,7 +542,8 @@ let () =
   let sweep jobs () = Sweep.run ~entries ~seeds:60 ~jobs () in
   let r1 = sweep 1 () and r4 = sweep 4 () in
   Printf.printf "\nengine gate (chaos ex7, 60 seeds, jobs=1 vs jobs=4):\n";
-  if Sweep.to_json_string r1 <> Sweep.to_json_string r4 then begin
+  let json = Secpol_fault.Harness.to_json_string in
+  if json r1 <> json r4 then begin
     Printf.printf "  VERDICT DRIFT: reports differ between jobs=1 and jobs=4\n";
     gate := false
   end

@@ -972,6 +972,7 @@ let chaos_cmd =
   let module Crash = Secpol_fault.Crash in
   let module Dist = Secpol_dist.Sweep in
   let module Serverchaos = Secpol_server.Chaos in
+  let module Harness = Secpol_fault.Harness in
   let run program mode seeds base_seed horizon retries crash crash_points
       snapshot_every dist server format json jobs trace trace_format =
     let jobs = check_jobs jobs in
@@ -988,48 +989,23 @@ let chaos_cmd =
     end;
     let code =
       with_sink trace trace_format (fun sink ->
-          if server then begin
-            let report =
+          let report =
+            if server then
               Serverchaos.run ~entries ~mode ~seeds ~base_seed ~sink ~jobs ()
-            in
-            report_pool report.Serverchaos.pool;
-            (match format with
-            | `Json -> print_endline (Serverchaos.to_json_string report)
-            | `Text -> Format.printf "%a" Serverchaos.pp report);
-            if report.Serverchaos.ok then 0 else 1
-          end
-          else if dist then begin
-            let report =
+            else if dist then
               Dist.run ~entries ~mode ~seeds ~base_seed ~sink ~jobs ()
-            in
-            report_pool report.Dist.pool;
-            (match format with
-            | `Json -> print_endline (Dist.to_json_string report)
-            | `Text -> Format.printf "%a" Dist.pp report);
-            if report.Dist.ok then 0 else 1
-          end
-          else if crash then begin
-            let report =
-              Crash.run ~entries ~mode ~crash_points ~base_seed ~snapshot_every
-                ~sink ~jobs ()
-            in
-            report_pool report.Crash.pool;
-            (match format with
-            | `Json -> print_endline (Crash.to_json_string report)
-            | `Text -> Format.printf "%a" Crash.pp report);
-            if report.Crash.ok then 0 else 1
-          end
-          else begin
-            let report =
+            else if crash then
+              Crash.run ~entries ~mode ~crash_points ~base_seed
+                ~snapshot_every ~sink ~jobs ()
+            else
               Sweep.run ~entries ~mode ~seeds ~base_seed ~horizon ~retries
                 ~sink ~jobs ()
-            in
-            report_pool report.Sweep.pool;
-            (match format with
-            | `Json -> print_endline (Sweep.to_json_string report)
-            | `Text -> Format.printf "%a" Sweep.pp report);
-            if report.Sweep.ok then 0 else 1
-          end)
+          in
+          report_pool report.Harness.pool;
+          (match format with
+          | `Json -> print_endline (Harness.to_json_string report)
+          | `Text -> Format.printf "%a" Harness.pp report);
+          if report.Harness.ok then 0 else 1)
     in
     exit code
   in

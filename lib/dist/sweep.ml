@@ -10,105 +10,43 @@ module Paper = Secpol_corpus.Paper_programs
 module Json = Secpol_staticflow.Lint.Json
 module Metrics = Secpol_trace.Metrics
 module Sink = Secpol_trace.Sink
-module Pool = Secpol_engine.Pool
 module Guard = Secpol_fault.Guard
 module Injector = Secpol_fault.Injector
 module Media = Secpol_journal.Media
-module FReport = Secpol_fault.Report
+module Harness = Secpol_fault.Harness
 
-type totals = {
-  runs : int;
-  plans : int;
-  grants : int;
-  recovered : int;
-  monitor_denials : int;
-  fault_denials : int;
-  partitions : int;
-  fail_open : int;
-  clean_mismatch : int;
-  shard_kills : int;
-  monitor_faults : int;
-  timeouts : int;
-  retransmits : int;
-  journal_resumes : int;
-  lost_shards : int;
-  net_dropped : int;
-  net_delayed : int;
-  net_duplicated : int;
-  net_reordered : int;
-  net_corrupted : int;
-}
-
-type finding = {
-  entry : string;
-  policy : string;
-  seed : int;
-  shards : int;
-  input : string;
-  detail : string;
-}
-
-type report = {
-  base_seed : int;
-  seeds : int;
-  mode : Dynamic.mode;
-  totals : totals;
-  metrics : Metrics.t;
-  findings : finding list;
-  ok : bool;
-  pool : Pool.stats;
-}
-
-let max_findings = 20
 let fault_free_shard_counts = [ 1; 2; 3; 5 ]
 
-let counter_names =
-  [
-    "runs";
-    "plans";
-    "grants";
-    "recovered";
-    "monitor_denials";
-    "fault_denials";
-    "partitions";
-    "fail_open";
-    "clean_mismatch";
-    "shard_kills";
-    "monitor_faults";
-    "timeouts";
-    "retransmits";
-    "journal_resumes";
-    "lost_shards";
-    "net_dropped";
-    "net_delayed";
-    "net_duplicated";
-    "net_reordered";
-    "net_corrupted";
-  ]
+let stats =
+  Harness.
+    [
+      Counter "runs";
+      Counter "plans";
+      Counter "grants";
+      Counter "recovered";
+      Counter "monitor_denials";
+      Counter "fault_denials";
+      Counter "partitions";
+      Counter "fail_open";
+      Counter "clean_mismatch";
+      Counter "shard_kills";
+      Counter "monitor_faults";
+      Counter "timeouts";
+      Counter "retransmits";
+      Counter "journal_resumes";
+      Counter "lost_shards";
+      Counter "net_dropped";
+      Counter "net_delayed";
+      Counter "net_duplicated";
+      Counter "net_reordered";
+      Counter "net_corrupted";
+      Histogram "merge_rounds";
+      Histogram "backoff_steps";
+    ]
 
-let register_counters metrics =
-  List.iter (fun n -> ignore (Metrics.counter metrics n)) counter_names;
-  ignore (Metrics.histogram metrics "merge_rounds");
-  ignore (Metrics.histogram metrics "backoff_steps")
-
-(* Up to [k] inputs spread evenly over the enumeration — enough coverage
-   to include condemning and granting inputs without making the sweep
-   quadratic in the space. *)
-let spread k inputs =
-  let arr = Array.of_list inputs in
-  let len = Array.length arr in
-  if len <= k then inputs
-  else
-    List.init k (fun i -> arr.(i * (len - 1) / (max 1 (k - 1))))
-
-type task = { t_entry : Paper.entry; t_policy : Policy.t }
-
-type shard_out = { s_metrics : Metrics.t; s_findings : finding list }
-
-let run_task ~mode ~seeds ~base_seed ~inputs_per_case ~sink t =
-  let metrics = Metrics.create () in
-  register_counters metrics;
-  let c name = Metrics.counter metrics name in
+let run_task ~mode ~seeds ~base_seed ~inputs_per_case ~sink
+    (ctx : Harness.ctx) (entry, policy) =
+  let c = Metrics.counter ctx.Harness.metrics in
   let c_runs = c "runs"
   and c_plans = c "plans"
   and c_grants = c "grants"
@@ -129,23 +67,15 @@ let run_task ~mode ~seeds ~base_seed ~inputs_per_case ~sink t =
   and c_net_duplicated = c "net_duplicated"
   and c_net_reordered = c "net_reordered"
   and c_net_corrupted = c "net_corrupted" in
-  let h_rounds = Metrics.histogram metrics "merge_rounds" in
-  let h_backoff = Metrics.histogram metrics "backoff_steps" in
-  let findings = ref [] in
-  let n_found = ref 0 in
-  let note f =
-    if !n_found < max_findings then begin
-      incr n_found;
-      findings := f :: !findings
-    end
-  in
-  let entry = t.t_entry and policy = t.t_policy in
+  let h_rounds = Metrics.histogram ctx.Harness.metrics "merge_rounds" in
+  let h_backoff = Metrics.histogram ctx.Harness.metrics "backoff_steps" in
   let g = Paper.graph entry in
   let arity = g.Graph.arity in
   let allowed = Option.get (Policy.allowed_indices policy) in
   let pname = Policy.name policy in
   let inputs =
-    spread inputs_per_case (List.of_seq (Space.enumerate entry.Paper.space))
+    Harness.spread inputs_per_case
+      (List.of_seq (Space.enumerate entry.Paper.space))
   in
   let clean_mech = Dynamic.mechanism (Dynamic.config ~mode policy) g in
   (* Baselines per input: the raw clean monitor (what a grant must
@@ -253,14 +183,26 @@ let run_task ~mode ~seeds ~base_seed ~inputs_per_case ~sink t =
     let reply, disturbed = run_dist ~plan ~input_idx a in
     Metrics.incr c_runs;
     let fault detail counter =
+      let input = Harness.show_input a in
       Metrics.incr counter;
-      note
+      ctx.Harness.note
         {
-          entry = entry.Paper.name;
-          policy = pname;
-          seed = plan.Plan.seed;
-          shards = plan.Plan.shards;
-          input = FReport.show_input a;
+          Harness.subject =
+            [
+              entry.Paper.name;
+              pname;
+              "seed " ^ string_of_int plan.Plan.seed;
+              string_of_int plan.Plan.shards ^ " shards";
+              input;
+            ];
+          fields =
+            [
+              ("entry", Json.String entry.Paper.name);
+              ("policy", Json.String pname);
+              ("seed", Json.Int plan.Plan.seed);
+              ("shards", Json.Int plan.Plan.shards);
+              ("input", Json.String input);
+            ];
           detail = Printf.sprintf "[plan %s] %s" (Plan.describe plan) detail;
         }
     in
@@ -276,7 +218,7 @@ let run_task ~mode ~seeds ~base_seed ~inputs_per_case ~sink t =
                  "FAIL-OPEN: merged reply granted %s but clean monitor replied \
                   %s"
                  (Value.to_string v)
-                 (FReport.show_response clean.Mechanism.response))
+                 (Harness.show_response clean.Mechanism.response))
               c_fail_open)
     | Mechanism.Denied notice ->
         if notice = Coordinator.partition_notice then Metrics.incr c_partitions
@@ -291,7 +233,7 @@ let run_task ~mode ~seeds ~base_seed ~inputs_per_case ~sink t =
           (Printf.sprintf
              "undisturbed run not bit-identical: %s vs guarded single \
               enforcer %s"
-             (FReport.show_reply reply) (FReport.show_reply guarded))
+             (Harness.show_reply reply) (Harness.show_reply guarded))
           c_clean_mismatch
     end
   in
@@ -310,99 +252,28 @@ let run_task ~mode ~seeds ~base_seed ~inputs_per_case ~sink t =
     Metrics.incr ~by:(Plan.monitor_faults plan) c_monitor_faults;
     if plan.Plan.coordinator_timeout then Metrics.incr c_timeouts;
     List.iteri (fun input_idx b -> classify ~plan ~input_idx b) baselines
-  done;
-  { s_metrics = metrics; s_findings = List.rev !findings }
+  done
 
-let tasks_of ~entries =
-  List.concat_map
-    (fun (entry : Paper.entry) ->
-      let g = Paper.graph entry in
-      List.map
-        (fun policy -> { t_entry = entry; t_policy = policy })
-        (FReport.policies_of_arity g.Graph.arity))
-    entries
-
-let run ?(entries = Paper.all) ?(mode = Dynamic.Surveillance) ?(seeds = 30)
-    ?(base_seed = 0) ?(inputs_per_case = 3) ?(sink = Sink.null) ?(jobs = 1) ()
-    =
-  let sink = if jobs > 1 then Sink.synchronized sink else sink in
-  let tasks = Array.of_list (tasks_of ~entries) in
-  let shards, pool =
-    Pool.map ~jobs (Array.length tasks) (fun i ->
-        run_task ~mode ~seeds ~base_seed ~inputs_per_case ~sink tasks.(i))
-  in
-  let metrics = Metrics.create () in
-  register_counters metrics;
-  let c_tasks = Metrics.counter metrics "engine_tasks" in
-  Array.iter (fun s -> Metrics.merge ~into:metrics s.s_metrics) shards;
-  Metrics.incr ~by:pool.Pool.task_count c_tasks;
-  let findings =
-    let rec take n = function
-      | [] -> []
-      | _ when n = 0 -> []
-      | f :: rest -> f :: take (n - 1) rest
-    in
-    take max_findings
-      (List.concat_map (fun s -> s.s_findings) (Array.to_list shards))
-  in
-  let v name = Metrics.counter_value metrics name in
-  let totals =
-    {
-      runs = v "runs";
-      plans = v "plans";
-      grants = v "grants";
-      recovered = v "recovered";
-      monitor_denials = v "monitor_denials";
-      fault_denials = v "fault_denials";
-      partitions = v "partitions";
-      fail_open = v "fail_open";
-      clean_mismatch = v "clean_mismatch";
-      shard_kills = v "shard_kills";
-      monitor_faults = v "monitor_faults";
-      timeouts = v "timeouts";
-      retransmits = v "retransmits";
-      journal_resumes = v "journal_resumes";
-      lost_shards = v "lost_shards";
-      net_dropped = v "net_dropped";
-      net_delayed = v "net_delayed";
-      net_duplicated = v "net_duplicated";
-      net_reordered = v "net_reordered";
-      net_corrupted = v "net_corrupted";
-    }
-  in
+let describe ~seeds ~base_seed ~mode count =
   {
-    base_seed;
-    seeds;
-    mode;
-    totals;
-    metrics;
-    findings;
-    ok = totals.fail_open = 0 && totals.clean_mismatch = 0;
-    pool;
-  }
-
-let report_of r =
-  let t = r.totals in
-  {
-    FReport.title =
+    Harness.title =
       Printf.sprintf
         "distributed chaos sweep: %d plans (%d seeds from %d), mode %s"
-        t.plans r.seeds r.base_seed
-        (Dynamic.mode_name r.mode);
+        (count "plans") seeds base_seed (Dynamic.mode_name mode);
     params =
       [
-        ("base_seed", Json.Int r.base_seed);
-        ("seeds", Json.Int r.seeds);
-        ("mode", Json.String (Dynamic.mode_name r.mode));
+        ("base_seed", Json.Int base_seed);
+        ("seeds", Json.Int seeds);
+        ("mode", Json.String (Dynamic.mode_name mode));
       ];
-    metrics = r.metrics;
     rows =
       [
         ("runs", "distributed runs", None);
         ( "grants",
           "grants",
-          Some (Printf.sprintf "%d recovered after faults struck" t.recovered)
-        );
+          Some
+            (Printf.sprintf "%d recovered after faults struck"
+               (count "recovered")) );
         ("monitor_denials", "monitor denials", None);
         ("fault_denials", "fault denials", None);
         ("partitions", "partitions", Some "\xce\x9b/partition \xe2\x88\x88 F");
@@ -421,35 +292,16 @@ let report_of r =
         ("net_corrupted", "messages corrupted", None);
         ("engine_tasks", "engine tasks", None);
       ];
-    findings =
-      List.map
-        (fun f ->
-          {
-            FReport.subject =
-              [
-                f.entry;
-                f.policy;
-                "seed " ^ string_of_int f.seed;
-                string_of_int f.shards ^ " shards";
-                f.input;
-              ];
-            fields =
-              [
-                ("entry", Json.String f.entry);
-                ("policy", Json.String f.policy);
-                ("seed", Json.Int f.seed);
-                ("shards", Json.Int f.shards);
-                ("input", Json.String f.input);
-              ];
-            detail = f.detail;
-          })
-        r.findings;
-    ok = r.ok;
     verdict_ok =
       "fail-secure (no fail-open merge, undisturbed runs bit-identical)";
     verdict_fail = "FAIL-OPEN OR DIVERGENCE FROM SINGLE ENFORCER DETECTED";
   }
 
-let pp ppf r = FReport.pp ppf (report_of r)
-let to_json r = FReport.to_json (report_of r)
-let to_json_string r = FReport.to_json_string (report_of r)
+let run ?(entries = Paper.all) ?(mode = Dynamic.Surveillance) ?(seeds = 30)
+    ?(base_seed = 0) ?(inputs_per_case = 3) ?(sink = Sink.null) ?(jobs = 1) ()
+    =
+  let sink = if jobs > 1 then Sink.synchronized sink else sink in
+  Harness.run ~jobs ~stats ~zero:[ "fail_open"; "clean_mismatch" ]
+    ~describe:(describe ~seeds ~base_seed ~mode)
+    (Harness.cases entries)
+    (run_task ~mode ~seeds ~base_seed ~inputs_per_case ~sink)

@@ -2,82 +2,27 @@
     the corpus.
 
     For every paper program, every [allow(J)] policy over its inputs and
-    every seed in a range, the sweep generates a distributed fault
-    {!Plan} — shard kills, injected monitor faults, a lossy {!Net},
-    coordinator timeouts — splits the run across that plan's shard count
-    and merges through {!Coordinator.enforce}. Two invariants are
-    hunted, mirroring the single-enforcer chaos sweep:
+    every seed, the sweep generates a distributed fault {!Plan} — shard
+    kills, injected monitor faults, a lossy {!Net}, coordinator timeouts
+    — splits the run across the plan's shards and merges through
+    {!Coordinator.enforce}. Shards alternate between residual and
+    journaled execution, so kills exercise both the partition path and
+    journal-recovery retransmission. The invariants, gated by
+    [fail_open = 0] and [clean_mismatch = 0]:
 
-    - {b zero fail-open}: a merged grant must equal the clean monitor's
-      grant on that input — whatever was killed, dropped, duplicated,
-      reordered, corrupted or timed out;
-    - {b bit-identity when undisturbed}: a run in which no fault
-      actually fired (and no shard was killed or timed out) must be
-      bit-identical — response and step count — to the guarded single
-      enforcer on the same input. A separate fault-free pass checks that
-      identity at shard counts 1, 2, 3 and 5.
+    - a merged grant equals the clean monitor's grant on that input,
+      whatever was killed, dropped, duplicated, reordered, corrupted or
+      timed out;
+    - a run in which no fault fired is bit-identical — response and step
+      count — to the guarded single enforcer; a fault-free pass checks
+      this at shard counts 1, 2, 3 and 5.
 
-    Shards alternate deterministically between residual (unjournaled)
-    and journaled execution, so killed journaled shards exercise the
-    journal-recovery retransmission path while killed unjournaled
-    shards exercise the partition path.
-
-    The sweep decomposes into one engine task per (entry, policy); task
-    registries and findings merge in task order, so the report is
-    byte-identical at any [jobs]. *)
-
-type totals = {
-  runs : int;  (** distributed runs classified *)
-  plans : int;  (** (entry, policy, seed) triples swept *)
-  grants : int;  (** merged grants, all equal to the clean grant *)
-  recovered : int;  (** grants on runs where faults actually struck *)
-  monitor_denials : int;  (** merged Λ / Λ/fuel verdicts *)
-  fault_denials : int;  (** merged Λ/degraded / Λ/recovery verdicts *)
-  partitions : int;  (** merged Λ/partition verdicts *)
-  fail_open : int;
-  clean_mismatch : int;
-  shard_kills : int;  (** killed shards across all plans *)
-  monitor_faults : int;  (** monitor-faulty shards across all plans *)
-  timeouts : int;  (** plans with a coordinator timeout *)
-  retransmits : int;
-  journal_resumes : int;  (** retransmissions answered via journal recovery *)
-  lost_shards : int;
-  net_dropped : int;
-  net_delayed : int;
-  net_duplicated : int;
-  net_reordered : int;
-  net_corrupted : int;
-}
-
-type finding = {
-  entry : string;
-  policy : string;
-  seed : int;
-  shards : int;
-  input : string;
-  detail : string;
-}
-
-type report = {
-  base_seed : int;
-  seeds : int;
-  mode : Secpol_taint.Dynamic.mode;
-  totals : totals;
-  metrics : Secpol_trace.Metrics.t;
-      (** the registry the totals are read from, plus the
-          [merge_rounds] and [backoff_steps] histograms *)
-  findings : finding list;
-  ok : bool;  (** [fail_open = 0 && clean_mismatch = 0] *)
-  pool : Secpol_engine.Pool.stats;
-      (** scheduling telemetry, outside the deterministic rendering *)
-}
-
-val max_findings : int
-
-val fault_free_shard_counts : int list
-(** The shard counts (1, 2, 3, 5) every (entry, policy) is checked at
-    under a fault-free plan for bit-identity with the guarded single
-    enforcer. *)
+    Counters: [runs], [plans], [grants], [recovered] (grants after faults
+    struck), [monitor_denials], [fault_denials], [partitions],
+    [fail_open], [clean_mismatch], [shard_kills], [monitor_faults],
+    [timeouts], [retransmits], [journal_resumes], [lost_shards], the
+    [net_*] message faults, [engine_tasks]; the [merge_rounds] and
+    [backoff_steps] histograms. *)
 
 val run :
   ?entries:Secpol_corpus.Paper_programs.entry list ->
@@ -88,13 +33,10 @@ val run :
   ?sink:Secpol_trace.Sink.t ->
   ?jobs:int ->
   unit ->
-  report
+  Secpol_fault.Harness.report
 (** Defaults: the whole corpus, [Surveillance] monitors, 30 seeds from
     base seed 0, up to 3 inputs per (entry, policy, plan) spread evenly
-    over the entry's input space, [jobs = 1]. Seeded plans run at
-    2–4 shards ([2 + seed mod 3]). [sink] receives every distributed
-    lifecycle event of the sweep (synchronized when [jobs > 1]). *)
-
-val pp : Format.formatter -> report -> unit
-val to_json : report -> Secpol_staticflow.Lint.Json.value
-val to_json_string : report -> string
+    over the entry's input space, [jobs = 1]. One task per (entry,
+    policy); seeded plans run at 2–4 shards ([2 + seed mod 3]). [sink]
+    receives every distributed lifecycle event of the sweep
+    (synchronized when [jobs > 1]). *)

@@ -11,26 +11,6 @@ module Frame = Secpol_journal.Frame
 module Runner = Secpol_journal.Runner
 module Metrics = Secpol_trace.Metrics
 module Sink = Secpol_trace.Sink
-module Pool = Secpol_engine.Pool
-
-(* The crash-recovery sweep: the durable runner's fail-secure proof by
-   exhaustion. For every corpus entry, every allow(J) policy and a spread
-   of inputs, run the journaled monitor, kill it at every crash point, and
-   resume. The invariants hunted:
-
-   - PRISTINE media: resume(kill_at(k)) must be BIT-IDENTICAL (response and
-     step count) to the uninterrupted run, for every k. The journal is a
-     perfect memory of the run.
-   - TAMPERED media (torn tails, dropped record frames, flipped bits):
-     resume either still reproduces the uninterrupted run bit-identically
-     (damage that crashes legitimately cause — torn tails, lost suffixes —
-     is survivable by re-execution) or refuses with a typed error that the
-     supervisor maps to Λ/recovery. NEVER a third thing: a grant differing
-     from the clean run is fail-open, any other difference is divergence.
-
-   All randomness (chop lengths, flipped bit positions) comes from the same
-   splitmix64 stream as Plan.generate, so a failing sweep replays
-   bit-for-bit from its base seed. *)
 
 type tamper = Pristine | Torn_tail | Drop_records | Flip_bit_journal | Flip_bit_snapshot
 
@@ -41,52 +21,22 @@ let tamper_name = function
   | Flip_bit_journal -> "flip-bit-journal"
   | Flip_bit_snapshot -> "flip-bit-snapshot"
 
-type totals = {
-  cases : int;  (** (entry, policy, input) triples exercised *)
-  crashes : int;  (** kill/resume cycles, pristine and tampered *)
-  identical : int;  (** resumes bit-identical to the uninterrupted run *)
-  complete_replays : int;  (** resumes that found the verdict already journaled *)
-  recovery_notices : int;  (** tampered resumes refused with Λ/recovery *)
-  tamper_survived : int;  (** tampered resumes that still reproduced the run *)
-  divergent : int;  (** resumes differing from the clean run — must be 0 *)
-  fail_open : int;  (** resumes granting a value the clean run did not — must be 0 *)
-  journal_mismatch : int;  (** journaled baseline differing from Dynamic.run — must be 0 *)
-}
-
-type finding = {
-  entry : string;
-  policy : string;
-  input : string;
-  crash_point : int;  (** [-1] when no kill was involved *)
-  tamper : string;
-  detail : string;
-}
-
-type report = {
-  base_seed : int;
-  crash_points : int;
-  mode : Dynamic.mode;
-  totals : totals;
-  metrics : Metrics.t;
-  findings : finding list;
-  ok : bool;
-  pool : Pool.stats;
-}
-
-let max_findings = 20
-
-let show_input = Report.show_input
-let show_reply = Report.show_reply
-let policies_of_arity = Report.policies_of_arity
-
-(* Up to [k] inputs spread across the enumerated space — endpoints first,
-   so arity-0 spaces and singletons still contribute. *)
-let spread k inputs =
-  let n = List.length inputs in
-  if n <= k then inputs
-  else
-    let arr = Array.of_list inputs in
-    List.init k (fun i -> arr.(i * (n - 1) / (k - 1)))
+(* In rendered order, which the golden reports pin: the histogram first,
+   then the counters from last to first. *)
+let stats =
+  Harness.
+    [
+      Histogram "replayed_records";
+      Counter "journal_mismatch";
+      Counter "fail_open";
+      Counter "divergent";
+      Counter "tamper_survived";
+      Counter "recovery_notices";
+      Counter "complete_replays";
+      Counter "identical";
+      Counter "crashes";
+      Counter "cases";
+    ]
 
 (* --- media tampering ----------------------------------------------------- *)
 
@@ -150,30 +100,16 @@ type case = {
   k_input : Value.t array;
 }
 
-type shard = { s_metrics : Metrics.t; s_findings : finding list }
-
-let register_counters metrics =
-  let c name = Metrics.counter metrics name in
-  ( c "cases",
-    c "crashes",
-    c "identical",
-    c "complete_replays",
-    c "recovery_notices",
-    c "tamper_survived",
-    c "divergent",
-    c "fail_open",
-    c "journal_mismatch",
-    Metrics.histogram metrics "replayed_records" )
-
 let cases_of ~entries ~inputs_per_case =
   List.concat
     (List.mapi
        (fun ei (entry : Paper.entry) ->
-         let g = Paper.graph entry in
-         let all_inputs = List.of_seq (Space.enumerate entry.Paper.space) in
-         let inputs = spread inputs_per_case all_inputs in
+         let inputs =
+           Harness.spread inputs_per_case
+             (List.of_seq (Space.enumerate entry.Paper.space))
+         in
          List.concat_map
-           (fun policy ->
+           (fun (_, policy) ->
              List.mapi
                (fun ii a ->
                  {
@@ -184,155 +120,178 @@ let cases_of ~entries ~inputs_per_case =
                    k_input = a;
                  })
                inputs)
-           (policies_of_arity g.Secpol_flowgraph.Graph.arity))
+           (Harness.cases [ entry ]))
        entries)
 
+let tampers =
+  [ Pristine; Torn_tail; Drop_records; Flip_bit_journal; Flip_bit_snapshot ]
+
 let run_case ~mode ~crash_points ~base_seed ~fuel ~snapshot_every ~sink
-    ~resolve case =
-  let metrics = Metrics.create () in
-  let ( c_cases,
-        c_crashes,
-        c_identical,
-        c_complete,
-        c_recovery,
-        c_survived,
-        c_divergent,
-        c_fail_open,
-        c_journal_mismatch,
-        h_replayed ) =
-    register_counters metrics
-  in
-  let findings = ref [] in
-  let n_found = ref 0 in
-  let note f =
-    if !n_found < max_findings then begin
-      incr n_found;
-      findings := f :: !findings
-    end
-  in
-  let ei = case.k_ei and entry = case.k_entry in
-  let policy = case.k_policy and ii = case.k_ii in
+    ~resolve (ctx : Harness.ctx) case =
+  let c = Metrics.counter ctx.Harness.metrics in
+  let c_cases = c "cases"
+  and c_crashes = c "crashes"
+  and c_identical = c "identical"
+  and c_complete = c "complete_replays"
+  and c_recovery = c "recovery_notices"
+  and c_survived = c "tamper_survived"
+  and c_divergent = c "divergent"
+  and c_fail_open = c "fail_open"
+  and c_journal_mismatch = c "journal_mismatch" in
+  let h_replayed = Metrics.histogram ctx.Harness.metrics "replayed_records" in
+  let entry = case.k_entry and policy = case.k_policy in
   let g = Paper.graph entry in
   let pname = Policy.name policy in
   let cfg = Dynamic.config ~fuel ~mode policy in
-  (let a = Array.copy case.k_input in
-   Metrics.incr c_cases;
-              let iname = show_input a in
-              let fault ?(crash_point = -1) ?(tamper = "none") counter detail =
-                Metrics.incr counter;
-                note { entry = entry.Paper.name; policy = pname; input = iname;
-                       crash_point; tamper; detail }
-              in
-              (* The uninterrupted truth, twice over: the plain monitor and
-                 the journaled baseline must already agree. *)
-              let clean = Dynamic.run cfg g a in
-              let base_media = Media.memory () in
-              (match
-                 Runner.run ~snapshot_every ~sink ~media:base_media
-                   ~program_ref:entry.Paper.name cfg g a
-               with
-              | Runner.Killed _ -> assert false (* no kill_at *)
-              | Runner.Completed r ->
-                  if r <> clean then
-                    fault c_journal_mismatch
-                      (Printf.sprintf
-                         "journaled run %s differs from plain monitor %s"
-                         (show_reply r) (show_reply clean)));
-              (* Resuming a COMPLETED journal must re-deliver the verdict
-                 without re-executing anything. *)
-              (match Runner.resume ~sink ~resolve ~media:base_media () with
-              | Ok res
-                when res.Runner.was_complete && res.Runner.reply = clean ->
-                  Metrics.incr c_complete;
-                  Metrics.observe h_replayed res.Runner.replayed
-              | Ok res ->
-                  fault c_divergent
-                    (Printf.sprintf
-                       "resume of completed journal gave %s (complete=%b), \
-                        clean run was %s"
-                       (show_reply res.Runner.reply) res.Runner.was_complete
-                       (show_reply clean))
-              | Error e ->
-                  fault c_divergent
-                    ("resume of completed journal refused: "
-                    ^ Runner.failure_message e));
-              (* Kill at every crash point, then resume — pristine first,
-                 then with seeded damage. *)
-              let tampers =
-                [ Pristine; Torn_tail; Drop_records; Flip_bit_journal;
-                  Flip_bit_snapshot ]
-              in
-              let pmask =
-                match Policy.allowed_indices policy with
-                | Some s -> Iset.to_mask s
-                | None -> 0
-              in
-              let rng =
-                Plan.Rng.create (base_seed + (((ei * 131) + pmask) * 8191) + ii)
-              in
-              for k = 0 to crash_points - 1 do
-                let media = Media.memory () in
-                let outcome =
-                  Runner.run ~kill_at:k ~snapshot_every ~media
-                    ~program_ref:entry.Paper.name cfg g a
-                in
-                ignore outcome;
-                match Media.load media with
-                | None ->
-                    fault ~crash_point:k c_divergent
-                      "killed run left no snapshot at all"
-                | Some bytes ->
-                    let tamper =
-                      List.nth tampers (k mod List.length tampers)
-                    in
-                    let snapshot, journal = tampered_media rng tamper bytes in
-                    let media' = Media.memory ~snapshot ~journal () in
-                    Metrics.incr c_crashes;
-                    let tname = tamper_name tamper in
-                    (match Runner.resume ~sink ~resolve ~media:media' () with
-                    | Ok res when res.Runner.reply = clean ->
-                        Metrics.incr c_identical;
-                        Metrics.observe h_replayed res.Runner.replayed;
-                        if tamper <> Pristine then Metrics.incr c_survived
-                    | Ok res -> (
-                        match res.Runner.reply.Mechanism.response with
-                        | Mechanism.Granted _ ->
-                            fault ~crash_point:k ~tamper:tname c_fail_open
-                              (Printf.sprintf
-                                 "FAIL-OPEN: resume granted %s, clean run \
-                                  was %s"
-                                 (show_reply res.Runner.reply)
-                                 (show_reply clean))
-                        | _ ->
-                            fault ~crash_point:k ~tamper:tname c_divergent
-                              (Printf.sprintf
-                                 "resume gave %s, clean run was %s"
-                                 (show_reply res.Runner.reply)
-                                 (show_reply clean)))
-                    | Error e ->
-                        if survivable tamper then
-                          fault ~crash_point:k ~tamper:tname c_divergent
-                            (Printf.sprintf
-                               "crash damage should be survivable but \
-                                resume refused: %s"
-                               (Runner.failure_message e))
-                        else begin
-                          (* The supervisor's mapping: every refusal is the
-                             single notice Λ/recovery, nothing chattier. *)
-                          let reply = Guard.reply_of_recovery (Error e) in
-                          if
-                            reply.Mechanism.response
-                            = Mechanism.Denied Guard.recovery_notice
-                          then Metrics.incr c_recovery
-                          else
-                            fault ~crash_point:k ~tamper:tname c_divergent
-                              (Printf.sprintf
-                                 "recovery refusal mapped to %s, not \
-                                  Λ/recovery"
-                                 (show_reply reply))
-                        end)
-              done);
-  { s_metrics = metrics; s_findings = List.rev !findings }
+  let a = Array.copy case.k_input in
+  let iname = Harness.show_input a in
+  Metrics.incr c_cases;
+  let fault ?(crash_point = -1) ?(tamper = "none") counter detail =
+    Metrics.incr counter;
+    ctx.Harness.note
+      {
+        Harness.subject =
+          [
+            entry.Paper.name;
+            pname;
+            iname;
+            Printf.sprintf "crash@%d" crash_point;
+            tamper;
+          ];
+        fields =
+          [
+            ("entry", Json.String entry.Paper.name);
+            ("policy", Json.String pname);
+            ("input", Json.String iname);
+            ("crash_point", Json.Int crash_point);
+            ("tamper", Json.String tamper);
+          ];
+        detail;
+      }
+  in
+  let show_reply = Harness.show_reply in
+  (* The uninterrupted truth, twice over: the plain monitor and the
+     journaled baseline must already agree. *)
+  let clean = Dynamic.run cfg g a in
+  let base_media = Media.memory () in
+  (match
+     Runner.run ~snapshot_every ~sink ~media:base_media
+       ~program_ref:entry.Paper.name cfg g a
+   with
+  | Runner.Killed _ -> assert false (* no kill_at *)
+  | Runner.Completed r ->
+      if r <> clean then
+        fault c_journal_mismatch
+          (Printf.sprintf "journaled run %s differs from plain monitor %s"
+             (show_reply r) (show_reply clean)));
+  (* Resuming a COMPLETED journal must re-deliver the verdict without
+     re-executing anything. *)
+  (match Runner.resume ~sink ~resolve ~media:base_media () with
+  | Ok res when res.Runner.was_complete && res.Runner.reply = clean ->
+      Metrics.incr c_complete;
+      Metrics.observe h_replayed res.Runner.replayed
+  | Ok res ->
+      fault c_divergent
+        (Printf.sprintf
+           "resume of completed journal gave %s (complete=%b), clean run was \
+            %s"
+           (show_reply res.Runner.reply) res.Runner.was_complete
+           (show_reply clean))
+  | Error e ->
+      fault c_divergent
+        ("resume of completed journal refused: " ^ Runner.failure_message e));
+  (* Kill at every crash point, then resume — pristine first, then with
+     seeded damage. *)
+  let pmask =
+    match Policy.allowed_indices policy with
+    | Some s -> Iset.to_mask s
+    | None -> 0
+  in
+  let rng =
+    Plan.Rng.create
+      (base_seed + (((case.k_ei * 131) + pmask) * 8191) + case.k_ii)
+  in
+  for k = 0 to crash_points - 1 do
+    let media = Media.memory () in
+    ignore
+      (Runner.run ~kill_at:k ~snapshot_every ~media
+         ~program_ref:entry.Paper.name cfg g a);
+    match Media.load media with
+    | None ->
+        fault ~crash_point:k c_divergent "killed run left no snapshot at all"
+    | Some bytes -> (
+        let tamper = List.nth tampers (k mod List.length tampers) in
+        let snapshot, journal = tampered_media rng tamper bytes in
+        let media' = Media.memory ~snapshot ~journal () in
+        Metrics.incr c_crashes;
+        let fault = fault ~crash_point:k ~tamper:(tamper_name tamper) in
+        match Runner.resume ~sink ~resolve ~media:media' () with
+        | Ok res when res.Runner.reply = clean ->
+            Metrics.incr c_identical;
+            Metrics.observe h_replayed res.Runner.replayed;
+            if tamper <> Pristine then Metrics.incr c_survived
+        | Ok res -> (
+            match res.Runner.reply.Mechanism.response with
+            | Mechanism.Granted _ ->
+                fault c_fail_open
+                  (Printf.sprintf "FAIL-OPEN: resume granted %s, clean run was %s"
+                     (show_reply res.Runner.reply) (show_reply clean))
+            | _ ->
+                fault c_divergent
+                  (Printf.sprintf "resume gave %s, clean run was %s"
+                     (show_reply res.Runner.reply) (show_reply clean)))
+        | Error e ->
+            if survivable tamper then
+              fault c_divergent
+                (Printf.sprintf
+                   "crash damage should be survivable but resume refused: %s"
+                   (Runner.failure_message e))
+            else
+              (* The supervisor's mapping: every refusal is the single
+                 notice Λ/recovery, nothing chattier. *)
+              let reply = Guard.reply_of_recovery (Error e) in
+              if
+                reply.Mechanism.response
+                = Mechanism.Denied Guard.recovery_notice
+              then Metrics.incr c_recovery
+              else
+                fault c_divergent
+                  (Printf.sprintf
+                     "recovery refusal mapped to %s, not Λ/recovery"
+                     (show_reply reply)))
+  done
+
+let describe ~crash_points ~base_seed ~mode count =
+  {
+    Harness.title =
+      Printf.sprintf
+        "crash-recovery sweep: %d cases, %d crash points each, mode %s"
+        (count "cases") crash_points (Dynamic.mode_name mode);
+    params =
+      [
+        ("base_seed", Json.Int base_seed);
+        ("crash_points", Json.Int crash_points);
+        ("mode", Json.String (Dynamic.mode_name mode));
+      ];
+    rows =
+      [
+        ("crashes", "kill/resume cycles", None);
+        ( "identical",
+          "bit-identical",
+          Some (Printf.sprintf "%d after tampering" (count "tamper_survived"))
+        );
+        ("complete_replays", "complete replays", None);
+        ( "recovery_notices",
+          "recovery notices",
+          Some "unrecoverable media; all map to Λ/recovery ∈ F" );
+        ("journal_mismatch", "journal mismatches", None);
+        ("divergent", "divergent", None);
+        ("fail_open", "fail-open", None);
+      ];
+    verdict_ok =
+      "durable (every resume bit-identical or Λ/recovery, never fail-open)";
+    verdict_fail = "DIVERGENT OR FAIL-OPEN RECOVERY DETECTED";
+  }
 
 let run ?(entries = Paper.all) ?(mode = Dynamic.Surveillance)
     ?(crash_points = 50) ?(base_seed = 0) ?(fuel = default_fuel)
@@ -349,111 +308,9 @@ let run ?(entries = Paper.all) ?(mode = Dynamic.Surveillance)
     | None ->
         Error (Printf.sprintf "no corpus entry named %s" h.Runner.program_ref)
   in
-  let cases = Array.of_list (cases_of ~entries ~inputs_per_case) in
-  let shards, pool =
-    Pool.map ~jobs (Array.length cases) (fun i ->
-        run_case ~mode ~crash_points ~base_seed ~fuel ~snapshot_every ~sink
-          ~resolve cases.(i))
-  in
-  let metrics = Metrics.create () in
-  let _ = register_counters metrics in
-  let c_tasks = Metrics.counter metrics "engine_tasks" in
-  Array.iter (fun s -> Metrics.merge ~into:metrics s.s_metrics) shards;
-  Metrics.incr ~by:pool.Pool.task_count c_tasks;
-  let findings =
-    let rec take n = function
-      | [] -> []
-      | _ when n = 0 -> []
-      | f :: rest -> f :: take (n - 1) rest
-    in
-    take max_findings
-      (List.concat_map (fun s -> s.s_findings) (Array.to_list shards))
-  in
-  let v name = Metrics.counter_value metrics name in
-  let totals =
-    {
-      cases = v "cases";
-      crashes = v "crashes";
-      identical = v "identical";
-      complete_replays = v "complete_replays";
-      recovery_notices = v "recovery_notices";
-      tamper_survived = v "tamper_survived";
-      divergent = v "divergent";
-      fail_open = v "fail_open";
-      journal_mismatch = v "journal_mismatch";
-    }
-  in
-  {
-    base_seed;
-    crash_points;
-    mode;
-    totals;
-    metrics;
-    findings;
-    ok =
-      totals.divergent = 0 && totals.fail_open = 0
-      && totals.journal_mismatch = 0;
-    pool;
-  }
-
-let report_of r =
-  let t = r.totals in
-  {
-    Report.title =
-      Printf.sprintf
-        "crash-recovery sweep: %d cases, %d crash points each, mode %s"
-        t.cases r.crash_points
-        (Dynamic.mode_name r.mode);
-    params =
-      [
-        ("base_seed", Json.Int r.base_seed);
-        ("crash_points", Json.Int r.crash_points);
-        ("mode", Json.String (Dynamic.mode_name r.mode));
-      ];
-    metrics = r.metrics;
-    rows =
-      [
-        ("crashes", "kill/resume cycles", None);
-        ( "identical",
-          "bit-identical",
-          Some (Printf.sprintf "%d after tampering" t.tamper_survived) );
-        ("complete_replays", "complete replays", None);
-        ( "recovery_notices",
-          "recovery notices",
-          Some "unrecoverable media; all map to Λ/recovery ∈ F" );
-        ("journal_mismatch", "journal mismatches", None);
-        ("divergent", "divergent", None);
-        ("fail_open", "fail-open", None);
-      ];
-    findings =
-      List.map
-        (fun f ->
-          {
-            Report.subject =
-              [
-                f.entry;
-                f.policy;
-                f.input;
-                Printf.sprintf "crash@%d" f.crash_point;
-                f.tamper;
-              ];
-            fields =
-              [
-                ("entry", Json.String f.entry);
-                ("policy", Json.String f.policy);
-                ("input", Json.String f.input);
-                ("crash_point", Json.Int f.crash_point);
-                ("tamper", Json.String f.tamper);
-              ];
-            detail = f.detail;
-          })
-        r.findings;
-    ok = r.ok;
-    verdict_ok =
-      "durable (every resume bit-identical or Λ/recovery, never fail-open)";
-    verdict_fail = "DIVERGENT OR FAIL-OPEN RECOVERY DETECTED";
-  }
-
-let pp ppf r = Report.pp ppf (report_of r)
-let to_json r = Report.to_json (report_of r)
-let to_json_string r = Report.to_json_string (report_of r)
+  Harness.run ~jobs ~stats
+    ~zero:[ "divergent"; "fail_open"; "journal_mismatch" ]
+    ~describe:(describe ~crash_points ~base_seed ~mode)
+    (cases_of ~entries ~inputs_per_case)
+    (run_case ~mode ~crash_points ~base_seed ~fuel ~snapshot_every ~sink
+       ~resolve)

@@ -2,70 +2,27 @@
     runner ({!Secpol_journal.Runner}).
 
     For every corpus entry, every [allow(J)] policy over its inputs and a
-    spread of input vectors, the sweep runs the journaled monitor, kills it
-    at every crash point [k < crash_points], and resumes from the medium.
-    Two invariants are hunted, mirroring the fail-secure direction of the
-    {!Sweep}:
+    spread of inputs, the sweep runs the journaled monitor, kills it at
+    every crash point [k < crash_points], and resumes from the medium. The
+    invariants, gated by [divergent = 0], [fail_open = 0] and
+    [journal_mismatch = 0]:
 
-    - on {e pristine} media (and on media with damage a real crash can
-      cause — torn tails, lost journal suffixes), the resumed run must be
-      {b bit-identical} — response {e and} step count — to the
-      uninterrupted run;
-    - on media with damage a crash {e cannot} cause (flipped bits in
-      surviving records or the snapshot), recovery must either still
-      reproduce the run or refuse with a typed error that
-      {!Guard.reply_of_recovery} maps to the violation notice
-      [Λ/recovery ∈ F] — never a divergent verdict, and above all never a
-      grant the clean monitor did not issue.
+    - on pristine media, and on damage a real crash can cause (torn
+      tails, lost journal suffixes), the resume is bit-identical —
+      response and step count — to the uninterrupted run;
+    - on damage a crash cannot cause (flipped bits), recovery still
+      reproduces the run or refuses with a typed error that
+      {!Guard.reply_of_recovery} maps to [Λ/recovery ∈ F] — never a
+      divergent verdict, never a grant the clean monitor did not issue.
 
-    Tamper randomness is drawn from {!Plan.Rng} (splitmix64), so a failing
-    sweep replays bit-for-bit from [base_seed]. *)
-
-type totals = {
-  cases : int;  (** (entry, policy, input) triples exercised *)
-  crashes : int;  (** kill/resume cycles, pristine and tampered *)
-  identical : int;  (** resumes bit-identical to the uninterrupted run *)
-  complete_replays : int;
-      (** resumes that found the verdict already journaled and re-delivered
-          it without executing anything *)
-  recovery_notices : int;
-      (** tampered resumes refused and mapped to [Λ/recovery] *)
-  tamper_survived : int;
-      (** tampered resumes that nonetheless reproduced the clean run *)
-  divergent : int;  (** resumes differing from the clean run — must be 0 *)
-  fail_open : int;
-      (** resumes granting a value the clean run did not — must be 0 *)
-  journal_mismatch : int;
-      (** journaled baselines differing from the plain monitor — must be 0 *)
-}
-
-type finding = {
-  entry : string;
-  policy : string;
-  input : string;
-  crash_point : int;  (** [-1] when no kill was involved *)
-  tamper : string;
-  detail : string;
-}
-
-type report = {
-  base_seed : int;
-  crash_points : int;
-  mode : Secpol_taint.Dynamic.mode;
-  totals : totals;
-  metrics : Secpol_trace.Metrics.t;
-      (** the registry the totals are read from; also carries the
-          [replayed_records] histogram (journal records adopted per
-          successful resume) *)
-  findings : finding list;  (** capped at {!max_findings} *)
-  ok : bool;
-      (** [divergent = 0 && fail_open = 0 && journal_mismatch = 0] *)
-  pool : Secpol_engine.Pool.stats;
-      (** scheduling telemetry — absent from {!pp}/{!to_json}, which are
-          byte-identical across [jobs] *)
-}
-
-val max_findings : int
+    Counters: [cases], [crashes] (kill/resume cycles), [identical],
+    [complete_replays] (resumes re-delivering a journaled verdict),
+    [recovery_notices], [tamper_survived], [divergent], [fail_open],
+    [journal_mismatch] (journaled baseline vs plain monitor),
+    [engine_tasks]; the [replayed_records] histogram holds the records
+    each successful resume adopted. Tamper randomness comes from
+    {!Plan.Rng} seeded by each case's coordinates, so a failing sweep
+    replays bit-for-bit from [base_seed]. *)
 
 val default_fuel : int
 (** 2000 — enough for every terminating corpus run, small enough that the
@@ -86,17 +43,10 @@ val run :
   ?sink:Secpol_trace.Sink.t ->
   ?jobs:int ->
   unit ->
-  report
+  Harness.report
 (** Defaults: the whole corpus, [Surveillance] monitors, 50 crash points,
     base seed 0, {!default_fuel}, {!default_snapshot_every}, 4 inputs
-    spread across each entry's space, [jobs = 1]. Policies are all
-    [2^arity] subsets of each entry's inputs. [sink] (default null)
-    receives the journal lifecycle events of every baseline run and resume
-    the sweep drives; with [jobs > 1] it is synchronized and interleaved.
-    The engine runs one task per (entry, policy, input) case; each case's
-    tamper RNG is seeded from its coordinates, so every output except
-    [pool] is byte-identical whatever [jobs] is. *)
-
-val pp : Format.formatter -> report -> unit
-val to_json : report -> Secpol_staticflow.Lint.Json.value
-val to_json_string : report -> string
+    spread across each entry's space, [jobs = 1]. One task per (entry,
+    policy, input) case. [sink] (default null) receives the journal
+    lifecycle events of every baseline run and resume; with [jobs > 1] it
+    is synchronized and interleaved. *)

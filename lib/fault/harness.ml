@@ -2,8 +2,10 @@ module Iset = Secpol_core.Iset
 module Value = Secpol_core.Value
 module Policy = Secpol_core.Policy
 module Mechanism = Secpol_core.Mechanism
+module Paper = Secpol_corpus.Paper_programs
 module Json = Secpol_staticflow.Lint.Json
 module Metrics = Secpol_trace.Metrics
+module Pool = Secpol_engine.Pool
 
 let show_input a =
   "(" ^ String.concat "," (Array.to_list (Array.map Value.to_string a)) ^ ")"
@@ -21,27 +23,100 @@ let show_reply (r : Mechanism.reply) =
 let policies_of_arity arity =
   List.init (1 lsl arity) (fun mask -> Policy.allow_set (Iset.of_mask mask))
 
+let cases entries =
+  List.concat_map
+    (fun (entry : Paper.entry) ->
+      List.map
+        (fun policy -> (entry, policy))
+        (policies_of_arity (Paper.graph entry).Secpol_flowgraph.Graph.arity))
+    entries
+
+let spread k xs =
+  let arr = Array.of_list xs in
+  let n = Array.length arr in
+  if n <= k then xs
+  else List.init k (fun i -> arr.(i * (n - 1) / max 1 (k - 1)))
+
 type finding = {
   subject : string list;
   fields : (string * Json.value) list;
   detail : string;
 }
 
-type t = {
+type series = Counter of string | Histogram of string
+type ctx = { metrics : Metrics.t; note : finding -> unit }
+
+type view = {
   title : string;
   params : (string * Json.value) list;
-  metrics : Metrics.t;
   rows : (string * string * string option) list;
-  findings : finding list;
-  ok : bool;
   verdict_ok : string;
   verdict_fail : string;
 }
 
-(* Findings are rendered in sorted order, not accumulation order: a total
-   order over their JSON fields (then detail) is a stable key no scheduler
-   can perturb, so text and JSON stay byte-identical whatever order the
-   sweep discovered them in. *)
+type report = {
+  view : view;
+  metrics : Metrics.t;
+  findings : finding list;
+  ok : bool;
+  pool : Pool.stats;
+}
+
+let max_findings = 20
+
+(* Registered up front so every rendering keeps the vocabulary's order
+   whatever fires first. *)
+let registry stats =
+  let m = Metrics.create () in
+  List.iter
+    (function
+      | Counter n -> ignore (Metrics.counter m n)
+      | Histogram n -> ignore (Metrics.histogram m n))
+    stats;
+  m
+
+let counter_in metrics name =
+  match Metrics.find metrics name with
+  | Some (Metrics.Counter n) -> n
+  | Some (Metrics.Gauge _ | Metrics.Histogram _) | None ->
+      invalid_arg (Printf.sprintf "Harness.count: no counter %S" name)
+
+(* The task list does not depend on [jobs]: the same tasks run whatever
+   the pool width, and their shards and findings merge in task order, so
+   the report is the sequential one. *)
+let run ~jobs ~stats ~zero ~describe tasks run_task =
+  let tasks = Array.of_list tasks in
+  let shards, pool =
+    Pool.map ~jobs (Array.length tasks) (fun i ->
+        let metrics = registry stats in
+        let found = ref [] in
+        let note f =
+          if List.length !found < max_findings then found := f :: !found
+        in
+        run_task { metrics; note } tasks.(i);
+        (metrics, List.rev !found))
+  in
+  let metrics = registry stats in
+  let c_tasks = Metrics.counter metrics "engine_tasks" in
+  Array.iter (fun (m, _) -> Metrics.merge ~into:metrics m) shards;
+  Metrics.incr ~by:pool.Pool.task_count c_tasks;
+  let count = counter_in metrics in
+  {
+    view = describe count;
+    metrics;
+    findings =
+      List.filteri
+        (fun i _ -> i < max_findings)
+        (List.concat_map snd (Array.to_list shards));
+    ok = List.for_all (fun name -> count name = 0) zero;
+    pool;
+  }
+
+let count r = counter_in r.metrics
+
+(* Findings render in sorted order, not accumulation order: a total order
+   over their JSON fields (then detail) is a stable key no scheduler can
+   perturb. *)
 let rec compare_json a b =
   match (a, b) with
   | Json.Null, Json.Null -> 0
@@ -77,26 +152,27 @@ let compare_finding a b =
   let c = compare_json (Json.Obj a.fields) (Json.Obj b.fields) in
   if c <> 0 then c else String.compare a.detail b.detail
 
-let sort_findings fs = List.stable_sort compare_finding fs
+let sorted_findings r = List.stable_sort compare_finding r.findings
 
 let pp ppf r =
-  Format.fprintf ppf "%s@." r.title;
+  let v = r.view in
+  Format.fprintf ppf "%s@." v.title;
   let width =
-    List.fold_left (fun w (_, label, _) -> max w (String.length label)) 0 r.rows
+    List.fold_left (fun w (_, label, _) -> max w (String.length label)) 0 v.rows
   in
   List.iter
     (fun (name, label, note) ->
       Format.fprintf ppf "  %-*s %6d%s@." width label
-        (Metrics.counter_value r.metrics name)
+        (count r name)
         (match note with None -> "" | Some n -> "  (" ^ n ^ ")"))
-    r.rows;
+    v.rows;
   List.iter
     (fun f ->
       Format.fprintf ppf "  ! %s: %s@." (String.concat " / " f.subject)
         f.detail)
-    (sort_findings r.findings);
+    (sorted_findings r);
   Format.fprintf ppf "verdict: %s@."
-    (if r.ok then r.verdict_ok else r.verdict_fail)
+    (if r.ok then v.verdict_ok else v.verdict_fail)
 
 let to_json r =
   let totals =
@@ -108,7 +184,7 @@ let to_json r =
       (Metrics.stats r.metrics)
   in
   Json.Obj
-    (r.params
+    (r.view.params
     @ [
         ("totals", Json.Obj totals);
         ( "findings",
@@ -116,7 +192,7 @@ let to_json r =
             (List.map
                (fun f ->
                  Json.Obj (f.fields @ [ ("detail", Json.String f.detail) ]))
-               (sort_findings r.findings)) );
+               (sorted_findings r)) );
         ("metrics", Metrics.to_json r.metrics);
         ("ok", Json.Bool r.ok);
       ])

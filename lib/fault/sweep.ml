@@ -1,4 +1,3 @@
-module Iset = Secpol_core.Iset
 module Value = Secpol_core.Value
 module Policy = Secpol_core.Policy
 module Space = Secpol_core.Space
@@ -8,54 +7,30 @@ module Paper = Secpol_corpus.Paper_programs
 module Json = Secpol_staticflow.Lint.Json
 module Metrics = Secpol_trace.Metrics
 module Sink = Secpol_trace.Sink
-module Pool = Secpol_engine.Pool
 module Cache = Secpol_engine.Cache
 module Memo = Secpol_engine.Memo
 module Runner = Secpol_journal.Runner
 
-type totals = {
-  runs : int;
-  plans : int;
-  grants : int;
-  recovered : int;
-  notices : int;
-  degraded : int;
-  fail_open : int;
-  clean_mismatch : int;
-  unguarded_failures : int;
-}
+(* In rendered order, which the golden reports pin: the histogram first,
+   then the counters from last to first. *)
+let stats =
+  Harness.
+    [
+      Histogram "guard_steps";
+      Counter "unguarded_failures";
+      Counter "clean_mismatch";
+      Counter "fail_open";
+      Counter "degraded";
+      Counter "notices";
+      Counter "recovered";
+      Counter "grants";
+      Counter "plans";
+      Counter "runs";
+    ]
 
-type finding = {
-  entry : string;
-  policy : string;
-  seed : int;
-  input : string;
-  detail : string;
-}
-
-type report = {
-  base_seed : int;
-  seeds : int;
-  mode : Dynamic.mode;
-  totals : totals;
-  metrics : Metrics.t;
-  findings : finding list;
-  ok : bool;
-  pool : Pool.stats;
-}
-
-let max_findings = 20
-
-let show_input = Report.show_input
-let show_response = Report.show_response
-let policies_of_arity = Report.policies_of_arity
-
-(* The sweep decomposes into a fixed task list — one task per (entry,
-   policy, chunk of [seed_chunk] seeds) — that does NOT depend on [jobs]:
-   the same tasks run whatever the pool width, their shard registries and
-   findings are merged in task order, so the report is byte-identical at
-   any [--jobs]. The first chunk of each (entry, policy) also carries the
-   fault-free guarded pass the sequential sweep ran before its seed loop. *)
+(* One task per (entry, policy, chunk of [seed_chunk] seeds). The first
+   chunk of each (entry, policy) also carries the fault-free guarded
+   pass. *)
 let seed_chunk = 25
 
 type task = {
@@ -66,49 +41,40 @@ type task = {
   t_first : bool;
 }
 
-type shard = { s_metrics : Metrics.t; s_findings : finding list }
+let finding ~entry ~policy ~seed ~input detail =
+  {
+    Harness.subject = [ entry; policy; "seed " ^ string_of_int seed; input ];
+    fields =
+      [
+        ("entry", Json.String entry);
+        ("policy", Json.String policy);
+        ("seed", Json.Int seed);
+        ("input", Json.String input);
+      ];
+    detail;
+  }
 
-let register_counters metrics =
-  (* Registered up front so renderings keep this order whatever fires
-     first. *)
-  let c name = Metrics.counter metrics name in
-  ( c "runs",
-    c "plans",
-    c "grants",
-    c "recovered",
-    c "notices",
-    c "degraded",
-    c "fail_open",
-    c "clean_mismatch",
-    c "unguarded_failures",
-    Metrics.histogram metrics "guard_steps" )
-
-let run_task ~mode ~horizon ~config ~sink ~cache t =
-  let metrics = Metrics.create () in
-  let ( c_runs,
-        c_plans,
-        c_grants,
-        c_recovered,
-        c_notices,
-        c_degraded,
-        c_fail_open,
-        c_clean_mismatch,
-        c_unguarded,
-        h_steps ) =
-    register_counters metrics
-  in
-  let findings = ref [] in
-  let n_found = ref 0 in
-  let note f =
-    if !n_found < max_findings then begin
-      incr n_found;
-      findings := f :: !findings
-    end
-  in
+let run_task ~mode ~horizon ~config ~sink ~cache (ctx : Harness.ctx) t =
+  let counter = Metrics.counter ctx.Harness.metrics in
+  let c_runs = counter "runs"
+  and c_plans = counter "plans"
+  and c_grants = counter "grants"
+  and c_recovered = counter "recovered"
+  and c_notices = counter "notices"
+  and c_degraded = counter "degraded"
+  and c_fail_open = counter "fail_open"
+  and c_clean_mismatch = counter "clean_mismatch"
+  and c_unguarded = counter "unguarded_failures" in
+  let h_steps = Metrics.histogram ctx.Harness.metrics "guard_steps" in
   let entry = t.t_entry and policy = t.t_policy in
   let g = Paper.graph entry in
   let inputs = List.of_seq (Space.enumerate entry.Paper.space) in
   let pname = Policy.name policy in
+  let note ~seed a detail =
+    ctx.Harness.note
+      (finding ~entry:entry.Paper.name ~policy:pname ~seed
+         ~input:(Harness.show_input a) detail)
+  in
   let clean_mech = Dynamic.mechanism (Dynamic.config ~mode policy) g in
   (* Clean baselines through the exact-key cache: any chunk of this
      (entry, policy) may compute them, every other chunk reuses them. The
@@ -131,21 +97,10 @@ let run_task ~mode ~horizon ~config ~sink ~cache t =
         let r = Guard.reply_of_outcome (Guard.run ~config ~sink clean_mech a) in
         if r <> c then begin
           Metrics.incr c_clean_mismatch;
-          note
-            {
-              entry = entry.Paper.name;
-              policy = pname;
-              seed = -1;
-              input = show_input a;
-              detail =
-                Printf.sprintf
-                  "guard without faults not bit-identical: %s (%d steps) vs \
-                   clean %s (%d steps)"
-                  (show_response r.Mechanism.response)
-                  r.Mechanism.steps
-                  (show_response c.Mechanism.response)
-                  c.Mechanism.steps;
-            }
+          note ~seed:(-1) a
+            (Printf.sprintf
+               "guard without faults not bit-identical: %s vs clean %s"
+               (Harness.show_reply r) (Harness.show_reply c))
         end)
       clean;
   for seed = t.t_seed_lo to t.t_seed_lo + t.t_seed_count - 1 do
@@ -160,14 +115,7 @@ let run_task ~mode ~horizon ~config ~sink ~cache t =
     List.iter
       (fun (a, (c : Mechanism.reply)) ->
         let fault counter detail =
-          note
-            {
-              entry = entry.Paper.name;
-              policy = pname;
-              seed;
-              input = show_input a;
-              detail = Printf.sprintf "[plan %s] %s" (Plan.describe plan) detail;
-            };
+          note ~seed a (Printf.sprintf "[plan %s] %s" (Plan.describe plan) detail);
           Metrics.incr counter
         in
         (* Contrast pass: same faulty monitor, no supervisor. Raw-Q with
@@ -194,139 +142,61 @@ let run_task ~mode ~horizon ~config ~sink ~cache t =
                      "FAIL-OPEN: guarded run granted %s but clean monitor \
                       replied %s"
                      (Value.to_string v)
-                     (show_response c.Mechanism.response)))
+                     (Harness.show_response c.Mechanism.response)))
         | Guard.Notice _ -> Metrics.incr c_notices
         | Guard.Degraded _ -> Metrics.incr c_degraded);
         if not fired then begin
           let r = Guard.reply_of_outcome (outcome, steps) in
           if r <> c then
             fault c_clean_mismatch
-              (Printf.sprintf
-                 "no fault fired yet reply differs: %s (%d steps) vs clean \
-                  %s (%d steps)"
-                 (show_response r.Mechanism.response)
-                 r.Mechanism.steps
-                 (show_response c.Mechanism.response)
-                 c.Mechanism.steps)
+              (Printf.sprintf "no fault fired yet reply differs: %s vs clean %s"
+                 (Harness.show_reply r) (Harness.show_reply c))
         end)
       clean
-  done;
-  { s_metrics = metrics; s_findings = List.rev !findings }
+  done
 
 let tasks_of ~entries ~seeds ~base_seed =
-  List.concat_map
-    (fun (entry : Paper.entry) ->
-      let g = Paper.graph entry in
-      List.concat_map
-        (fun policy ->
-          let rec chunks lo acc =
-            if lo >= base_seed + seeds then List.rev acc
-            else
-              let count = min seed_chunk (base_seed + seeds - lo) in
-              chunks (lo + count)
-                ({
-                   t_entry = entry;
-                   t_policy = policy;
-                   t_seed_lo = lo;
-                   t_seed_count = count;
-                   t_first = lo = base_seed;
-                 }
-                :: acc)
-          in
-          if seeds <= 0 then
-            (* No seeds still means the fault-free guarded pass. *)
-            [
-              {
-                t_entry = entry;
-                t_policy = policy;
-                t_seed_lo = base_seed;
-                t_seed_count = 0;
-                t_first = true;
-              };
-            ]
-          else chunks base_seed [])
-        (policies_of_arity g.Secpol_flowgraph.Graph.arity))
-    entries
-
-let run ?(entries = Paper.all) ?(mode = Dynamic.Surveillance) ?(seeds = 100)
-    ?(base_seed = 0) ?(horizon = 24) ?(retries = 2) ?(sink = Sink.null)
-    ?(jobs = 1) () =
-  let sink = if jobs > 1 then Sink.synchronized sink else sink in
-  let config = { Guard.default with Guard.retries } in
-  let cache = Cache.create () in
-  let tasks = Array.of_list (tasks_of ~entries ~seeds ~base_seed) in
-  let shards, pool =
-    Pool.map ~jobs (Array.length tasks) (fun i ->
-        run_task ~mode ~horizon ~config ~sink ~cache tasks.(i))
-  in
-  let metrics = Metrics.create () in
-  let _ = register_counters metrics in
-  let c_tasks = Metrics.counter metrics "engine_tasks" in
-  let c_hits = Metrics.counter metrics "cache_hits" in
-  let c_misses = Metrics.counter metrics "cache_misses" in
-  Array.iter (fun s -> Metrics.merge ~into:metrics s.s_metrics) shards;
-  (* Deterministic engine telemetry: the task list is fixed and the cache
-     counts with compute-once semantics (misses = distinct keys), so these
-     merge into the report without breaking jobs-independence. Steal and
-     idle counts are scheduling noise and stay in [pool], outside the
-     rendered report. *)
-  Metrics.incr ~by:pool.Pool.task_count c_tasks;
-  Metrics.incr ~by:(Cache.hits cache) c_hits;
-  Metrics.incr ~by:(Cache.misses cache) c_misses;
-  let findings =
-    let rec take n = function
-      | [] -> []
-      | _ when n = 0 -> []
-      | f :: rest -> f :: take (n - 1) rest
-    in
-    take max_findings
-      (List.concat_map (fun s -> s.s_findings) (Array.to_list shards))
-  in
-  let v name = Metrics.counter_value metrics name in
-  let totals =
+  let task entry policy lo count =
     {
-      runs = v "runs";
-      plans = v "plans";
-      grants = v "grants";
-      recovered = v "recovered";
-      notices = v "notices";
-      degraded = v "degraded";
-      fail_open = v "fail_open";
-      clean_mismatch = v "clean_mismatch";
-      unguarded_failures = v "unguarded_failures";
+      t_entry = entry;
+      t_policy = policy;
+      t_seed_lo = lo;
+      t_seed_count = count;
+      t_first = lo = base_seed;
     }
   in
-  {
-    base_seed;
-    seeds;
-    mode;
-    totals;
-    metrics;
-    findings;
-    ok = totals.fail_open = 0 && totals.clean_mismatch = 0;
-    pool;
-  }
+  List.concat_map
+    (fun (entry, policy) ->
+      let rec chunks lo =
+        if lo >= base_seed + seeds then []
+        else
+          let count = min seed_chunk (base_seed + seeds - lo) in
+          task entry policy lo count :: chunks (lo + count)
+      in
+      (* No seeds still means the fault-free guarded pass. *)
+      if seeds <= 0 then [ task entry policy base_seed 0 ]
+      else chunks base_seed)
+    (Harness.cases entries)
 
-let report_of r =
-  let t = r.totals in
+let describe ~seeds ~base_seed ~mode count =
   {
-    Report.title =
+    Harness.title =
       Printf.sprintf "chaos sweep: %d fault plans (%d seeds from %d), mode %s"
-        t.plans r.seeds r.base_seed
-        (Dynamic.mode_name r.mode);
+        (count "plans") seeds base_seed (Dynamic.mode_name mode);
     params =
       [
-        ("base_seed", Json.Int r.base_seed);
-        ("seeds", Json.Int r.seeds);
-        ("mode", Json.String (Dynamic.mode_name r.mode));
+        ("base_seed", Json.Int base_seed);
+        ("seeds", Json.Int seeds);
+        ("mode", Json.String (Dynamic.mode_name mode));
       ];
-    metrics = r.metrics;
     rows =
       [
         ("runs", "guarded runs", None);
         ( "grants",
           "grants",
-          Some (Printf.sprintf "%d recovered after faults fired" t.recovered) );
+          Some
+            (Printf.sprintf "%d recovered after faults fired"
+               (count "recovered")) );
         ("notices", "notices", None);
         ("degraded", "degraded", None);
         ( "unguarded_failures",
@@ -338,27 +208,27 @@ let report_of r =
         ("cache_hits", "cache hits", Some "clean baselines reused");
         ("cache_misses", "cache misses", None);
       ];
-    findings =
-      List.map
-        (fun f ->
-          {
-            Report.subject =
-              [ f.entry; f.policy; "seed " ^ string_of_int f.seed; f.input ];
-            fields =
-              [
-                ("entry", Json.String f.entry);
-                ("policy", Json.String f.policy);
-                ("seed", Json.Int f.seed);
-                ("input", Json.String f.input);
-              ];
-            detail = f.detail;
-          })
-        r.findings;
-    ok = r.ok;
     verdict_ok = "fail-secure (no fail-open outcome, clean runs bit-identical)";
     verdict_fail = "FAIL-OPEN OR DIVERGENCE FROM CLEAN RUNS DETECTED";
   }
 
-let pp ppf r = Report.pp ppf (report_of r)
-let to_json r = Report.to_json (report_of r)
-let to_json_string r = Report.to_json_string (report_of r)
+let run ?(entries = Paper.all) ?(mode = Dynamic.Surveillance) ?(seeds = 100)
+    ?(base_seed = 0) ?(horizon = 24) ?(retries = 2) ?(sink = Sink.null)
+    ?(jobs = 1) () =
+  let sink = if jobs > 1 then Sink.synchronized sink else sink in
+  let config = { Guard.default with Guard.retries } in
+  let cache = Cache.create () in
+  let report =
+    Harness.run ~jobs ~stats ~zero:[ "fail_open"; "clean_mismatch" ]
+      ~describe:(describe ~seeds ~base_seed ~mode)
+      (tasks_of ~entries ~seeds ~base_seed)
+      (run_task ~mode ~horizon ~config ~sink ~cache)
+  in
+  (* The cache counts with compute-once semantics (misses = distinct
+     keys), so its counters are as deterministic as the task list. *)
+  let add name n =
+    Metrics.incr ~by:n (Metrics.counter report.Harness.metrics name)
+  in
+  add "cache_hits" (Cache.hits cache);
+  add "cache_misses" (Cache.misses cache);
+  report

@@ -1,69 +1,24 @@
 (** Differential chaos sweep: fail-open hunting over the whole corpus.
 
     For every paper program, every [allow(J)] policy over its inputs and
-    every seed in a range, the sweep generates a fault {!Plan}, runs the
-    surveillance monitor under the {!Guard} with the plan injected, and
-    compares each reply against the clean (unfaulted) monitor on the same
-    input. The invariant hunted for is {b zero fail-open outcomes}:
+    every seed, the surveillance monitor runs under the {!Guard} with a
+    seeded fault {!Plan} injected, and each reply is compared with the
+    clean monitor's on the same input. The invariants, gated by
+    [fail_open = 0] and [clean_mismatch = 0]:
 
-    - a guarded faulty run may grant {e only} the value the clean monitor
-      grants on that input — any other grant is a fail-open breach;
-    - a run whose fault points never fired must be {b bit-identical}
-      (response and step count) to the clean run — injection is free when
-      inactive;
-    - everything else must surface as a violation notice ([Notice] or
-      [Degraded]), never as a raw crash or hang.
+    - a guarded grant equals the clean monitor's grant on that input;
+    - a run whose fault points never fired, and the guard with no
+      injector at all, are bit-identical (response and step count) to the
+      clean run;
+    - everything else surfaces as a violation notice, never as a raw
+      crash or hang.
 
-    As a contrast, each faulty mechanism is also run {e unguarded} and its
-    raw [Failed]/[Hung] replies counted — the failures the guard absorbs
-    into [F]. *)
-
-type totals = {
-  runs : int;  (** guarded faulty runs classified *)
-  plans : int;  (** (entry, policy, seed) triples swept *)
-  grants : int;  (** guarded grants, all equal to the clean grant *)
-  recovered : int;  (** grants on runs where at least one fault fired *)
-  notices : int;
-  degraded : int;
-  fail_open : int;  (** guarded grants differing from the clean reply *)
-  clean_mismatch : int;
-      (** fault-free runs (no point fired, or guard with no injector) that
-          were not bit-identical to the clean monitor *)
-  unguarded_failures : int;
-      (** raw [Failed]/[Hung] replies of the same faulty mechanisms run
-          without the guard — what users would see without it *)
-}
-
-type finding = {
-  entry : string;
-  policy : string;
-  seed : int;
-  input : string;
-  detail : string;
-}
-
-type report = {
-  base_seed : int;
-  seeds : int;
-  mode : Secpol_taint.Dynamic.mode;
-  totals : totals;
-  metrics : Secpol_trace.Metrics.t;
-      (** the registry the totals are read from; also carries the
-          [guard_steps] histogram (steps per guarded run) *)
-  findings : finding list;  (** capped at {!max_findings} *)
-  ok : bool;  (** [fail_open = 0 && clean_mismatch = 0] *)
-  pool : Secpol_engine.Pool.stats;
-      (** scheduling telemetry (steals, idle probes) — deliberately absent
-          from {!pp}/{!to_json}, which promise byte-identity across
-          [jobs] *)
-}
-
-val max_findings : int
-
-val seed_chunk : int
-(** Seeds per engine task. The decomposition into tasks — one per (entry,
-    policy, chunk of [seed_chunk] seeds) — is fixed, so reports and
-    deterministic counters do not depend on [jobs]. *)
+    Counters: [runs] (guarded faulty runs), [plans], [grants],
+    [recovered] (grants after a fault fired), [notices], [degraded],
+    [fail_open], [clean_mismatch], [unguarded_failures] (raw
+    [Failed]/[Hung] replies of the same faulty monitor without the
+    guard), [engine_tasks], and [cache_hits]/[cache_misses] of the clean
+    baselines; the [guard_steps] histogram holds steps per guarded run. *)
 
 val run :
   ?entries:Secpol_corpus.Paper_programs.entry list ->
@@ -75,20 +30,11 @@ val run :
   ?sink:Secpol_trace.Sink.t ->
   ?jobs:int ->
   unit ->
-  report
+  Harness.report
 (** Defaults: the whole corpus, [Surveillance] monitors, 100 seeds from
-    base seed 0, fault-step horizon 24, 2 retries, [jobs = 1]. Policies
-    are {e all} [2^arity] subsets of each entry's inputs. [sink] (default
-    null) receives the {!Guard}'s retry/degradation events from every
-    guarded run of the sweep; with [jobs > 1] it is wrapped with
-    {!Secpol_trace.Sink.synchronized} and events interleave across tasks.
-    [jobs] picks the engine pool width; every output except [pool] is
-    byte-identical whatever its value. Clean baselines are fetched through
-    the engine's exact-key verdict cache ([cache_hits]/[cache_misses]
-    counters in [metrics]); faulty runs never touch the cache. *)
-
-val pp : Format.formatter -> report -> unit
-
-val to_json : report -> Secpol_staticflow.Lint.Json.value
-
-val to_json_string : report -> string
+    base seed 0, fault-step horizon 24, 2 retries, [jobs = 1]. One task
+    per (entry, policy, chunk of 25 seeds). [sink] (default null)
+    receives the {!Guard}'s retry/degradation events; with [jobs > 1] it
+    is wrapped with {!Secpol_trace.Sink.synchronized} and events
+    interleave across tasks. Clean baselines are fetched through the
+    engine's exact-key verdict cache; faulty runs never touch it. *)

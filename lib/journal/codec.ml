@@ -43,20 +43,22 @@ let guard f =
 
 (* --- CRC-32 (IEEE, reflected), the record checksum ---------------------- *)
 
+(* Built at module initialisation, not lazily: pool domains check records
+   concurrently, and forcing one [lazy] from two domains at once raises
+   [CamlinternalLazy.Undefined] under OCaml 5. *)
 let crc_table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 <> 0 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
 
 let crc32 s =
-  let t = Lazy.force crc_table in
   let c = ref 0xFFFFFFFF in
   String.iter
-    (fun ch -> c := t.((!c lxor Char.code ch) land 0xff) lxor (!c lsr 8))
+    (fun ch ->
+      c := crc_table.((!c lxor Char.code ch) land 0xff) lxor (!c lsr 8))
     s;
   !c lxor 0xFFFFFFFF
 

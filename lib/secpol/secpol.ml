@@ -52,6 +52,7 @@ module Injector = Secpol_fault.Injector
 module Guard = Secpol_fault.Guard
 module Chaos = Secpol_fault.Sweep
 module Crash = Secpol_fault.Crash
+module Harness = Secpol_fault.Harness
 
 (* Distributed enforcement: cooperating shard enforcers, the fail-secure
    merge, and their chaos sweep. *)

@@ -3,102 +3,43 @@ module Policy = Secpol_core.Policy
 module Space = Secpol_core.Space
 module Mechanism = Secpol_core.Mechanism
 module Notice = Secpol_core.Notice
-module Graph = Secpol_flowgraph.Graph
 module Dynamic = Secpol_taint.Dynamic
 module Paper = Secpol_corpus.Paper_programs
 module Json = Secpol_staticflow.Lint.Json
 module Metrics = Secpol_trace.Metrics
 module Sink = Secpol_trace.Sink
-module Pool = Secpol_engine.Pool
 module Guard = Secpol_fault.Guard
 module Splan = Secpol_fault.Server_plan
-module FReport = Secpol_fault.Report
+module Harness = Secpol_fault.Harness
 module Frame = Secpol_journal.Frame
 
-type totals = {
-  plans : int;
-  requests : int;
-  grants : int;
-  monitor_denials : int;
-  overload_denials : int;
-  recovery_denials : int;
-  fault_denials : int;
-  fail_open : int;
-  clean_mismatch : int;
-  unanswered : int;
-  proto_refusals : int;
-  proto_misses : int;
-  disconnects : int;
-  slowloris : int;
-  malformed : int;
-  kills : int;
-  kill_survivals : int;
-  restarts : int;
-  resumes : int;
-  burst_requests : int;
-}
-
-type finding = {
-  entry : string;
-  policy : string;
-  seed : int;
-  input : string;
-  detail : string;
-}
-
-type report = {
-  base_seed : int;
-  seeds : int;
-  mode : Dynamic.mode;
-  totals : totals;
-  metrics : Metrics.t;
-  findings : finding list;
-  ok : bool;
-  pool : Pool.stats;
-}
-
-let max_findings = 20
 let session_name = "s"
 let session_fuel = 4096
 
-let counter_names =
-  [
-    "plans";
-    "requests";
-    "grants";
-    "monitor_denials";
-    "overload_denials";
-    "recovery_denials";
-    "fault_denials";
-    "fail_open";
-    "clean_mismatch";
-    "unanswered";
-    "proto_refusals";
-    "proto_misses";
-    "disconnects";
-    "slowloris";
-    "malformed";
-    "kills";
-    "kill_survivals";
-    "restarts";
-    "resumes";
-    "burst_requests";
-  ]
-
-let register_counters metrics =
-  List.iter (fun n -> ignore (Metrics.counter metrics n)) counter_names
-
-(* Up to [k] inputs spread evenly over the enumeration (same selection as
-   the distributed sweep). *)
-let spread k inputs =
-  let arr = Array.of_list inputs in
-  let len = Array.length arr in
-  if len <= k then inputs
-  else List.init k (fun i -> arr.(i * (len - 1) / (max 1 (k - 1))))
-
-type task = { t_entry : Paper.entry; t_policy : Policy.t }
-
-type shard_out = { s_metrics : Metrics.t; s_findings : finding list }
+let stats =
+  Harness.
+    [
+      Counter "plans";
+      Counter "requests";
+      Counter "grants";
+      Counter "monitor_denials";
+      Counter "overload_denials";
+      Counter "recovery_denials";
+      Counter "fault_denials";
+      Counter "fail_open";
+      Counter "clean_mismatch";
+      Counter "unanswered";
+      Counter "proto_refusals";
+      Counter "proto_misses";
+      Counter "disconnects";
+      Counter "slowloris";
+      Counter "malformed";
+      Counter "kills";
+      Counter "kill_survivals";
+      Counter "restarts";
+      Counter "resumes";
+      Counter "burst_requests";
+    ]
 
 (* How a tracked request may legally be answered. [Strict] requests saw no
    fault: the reply must be bit-identical to the guarded single enforcer.
@@ -121,10 +62,11 @@ let flip_byte s i =
   Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0xFF));
   Bytes.to_string b
 
-let run_task ~mode ~seeds ~base_seed ~inputs_per_case ~sink t =
-  let metrics = Metrics.create () in
-  register_counters metrics;
-  let c name = Metrics.counter metrics name in
+let run_task ~mode ~seeds ~base_seed ~inputs_per_case ~sink
+    (ctx : Harness.ctx) (entry, policy) =
+  (* The engine writes its server/* series into the task's shard too. *)
+  let metrics = ctx.Harness.metrics in
+  let c = Metrics.counter metrics in
   let c_plans = c "plans"
   and c_requests = c "requests"
   and c_grants = c "grants"
@@ -145,15 +87,13 @@ let run_task ~mode ~seeds ~base_seed ~inputs_per_case ~sink t =
   and c_restarts = c "restarts"
   and c_resumes = c "resumes"
   and c_burst = c "burst_requests" in
-  let findings = ref [] in
-  let n_found = ref 0 in
-  let entry = t.t_entry and policy = t.t_policy in
   let g = Paper.graph entry in
   let allowed = Option.get (Policy.allowed_indices policy) in
   let pname = Policy.name policy in
   let inputs =
     Array.of_list
-      (spread inputs_per_case (List.of_seq (Space.enumerate entry.Paper.space)))
+      (Harness.spread inputs_per_case
+         (List.of_seq (Space.enumerate entry.Paper.space)))
   in
   (* The clean monitor (what a grant must match) under the session's exact
      config, and the guard layered on it exactly as the server layers it —
@@ -164,11 +104,20 @@ let run_task ~mode ~seeds ~base_seed ~inputs_per_case ~sink t =
       g
   in
   let guard_cfg = Guard.default in
-  let note f =
-    if !n_found < max_findings then begin
-      Stdlib.incr n_found;
-      findings := f :: !findings
-    end
+  let note ~seed ~input detail =
+    ctx.Harness.note
+      {
+        Harness.subject =
+          [ entry.Paper.name; pname; "seed " ^ string_of_int seed; input ];
+        fields =
+          [
+            ("entry", Json.String entry.Paper.name);
+            ("policy", Json.String pname);
+            ("seed", Json.Int seed);
+            ("input", Json.String input);
+          ];
+        detail;
+      }
   in
   let run_plan (plan : Splan.t) =
     Metrics.incr c_plans;
@@ -192,26 +141,12 @@ let run_task ~mode ~seeds ~base_seed ~inputs_per_case ~sink t =
     let main = ref (Engine.open_conn !eng ~now:!now) in
     let cst = ref (Wire.Stream.create ()) in
     let reqs : (int, req_state) Hashtbl.t = Hashtbl.create 16 in
-    let note_req (r : req_state) detail =
-      note
-        {
-          entry = entry.Paper.name;
-          policy = pname;
-          seed = plan.Splan.seed;
-          input = FReport.show_input r.a;
-          detail = Printf.sprintf "[plan %s] %s" (Splan.describe plan) detail;
-        }
+    let note_input input detail =
+      note ~seed:plan.Splan.seed ~input
+        (Printf.sprintf "[plan %s] %s" (Splan.describe plan) detail)
     in
-    let note_plan detail =
-      note
-        {
-          entry = entry.Paper.name;
-          policy = pname;
-          seed = plan.Splan.seed;
-          input = "-";
-          detail = Printf.sprintf "[plan %s] %s" (Splan.describe plan) detail;
-        }
-    in
+    let note_req (r : req_state) = note_input (Harness.show_input r.a) in
+    let note_plan = note_input "-" in
     let mismatch r detail =
       Metrics.incr c_clean_mismatch;
       note_req r detail
@@ -234,7 +169,7 @@ let run_task ~mode ~seeds ~base_seed ~inputs_per_case ~sink t =
                        "FAIL-OPEN: request %d granted %s but clean monitor \
                         replied %s"
                        id (Value.to_string v)
-                       (FReport.show_response r.clean.Mechanism.response)));
+                       (Harness.show_response r.clean.Mechanism.response)));
               if r.deadline0 then
                 mismatch r
                   (Printf.sprintf
@@ -244,8 +179,8 @@ let run_task ~mode ~seeds ~base_seed ~inputs_per_case ~sink t =
                 mismatch r
                   (Printf.sprintf
                      "clean request %d not bit-identical: %s vs guarded %s" id
-                     (FReport.show_reply reply)
-                     (FReport.show_reply r.guarded))
+                     (Harness.show_reply reply)
+                     (Harness.show_reply r.guarded))
           | Mechanism.Denied n ->
               if not (Notice.in_f n) then begin
                 Metrics.incr c_fail_open;
@@ -273,8 +208,8 @@ let run_task ~mode ~seeds ~base_seed ~inputs_per_case ~sink t =
                   mismatch r
                     (Printf.sprintf
                        "clean request %d degraded: %s vs guarded %s" id
-                       (FReport.show_reply reply)
-                       (FReport.show_reply r.guarded))
+                       (Harness.show_reply reply)
+                       (Harness.show_reply r.guarded))
               end
               else begin
                 Metrics.incr c_monitor;
@@ -283,8 +218,8 @@ let run_task ~mode ~seeds ~base_seed ~inputs_per_case ~sink t =
                     (Printf.sprintf
                        "clean request %d not bit-identical: %s vs guarded %s"
                        id
-                       (FReport.show_reply reply)
-                       (FReport.show_reply r.guarded))
+                       (Harness.show_reply reply)
+                       (Harness.show_reply r.guarded))
               end
           | Mechanism.Hung | Mechanism.Failed _ ->
               Metrics.incr c_fail_open;
@@ -292,7 +227,7 @@ let run_task ~mode ~seeds ~base_seed ~inputs_per_case ~sink t =
                 (Printf.sprintf
                    "FAIL-OPEN: request %d answered outside E \xe2\x88\xaa F: %s"
                    id
-                   (FReport.show_response reply.Mechanism.response)))
+                   (Harness.show_response reply.Mechanism.response)))
     in
     let pump conn stream =
       let bytes = Engine.output !eng ~conn in
@@ -550,94 +485,19 @@ let run_task ~mode ~seeds ~base_seed ~inputs_per_case ~sink t =
   run_plan (Splan.fault_free ~requests:4);
   for seed = base_seed to base_seed + seeds - 1 do
     run_plan (Splan.generate ~seed ())
-  done;
-  { s_metrics = metrics; s_findings = List.rev !findings }
+  done
 
-let tasks_of ~entries =
-  List.concat_map
-    (fun (entry : Paper.entry) ->
-      let g = Paper.graph entry in
-      List.map
-        (fun policy -> { t_entry = entry; t_policy = policy })
-        (FReport.policies_of_arity g.Graph.arity))
-    entries
-
-let run ?(entries = Paper.all) ?(mode = Dynamic.Surveillance) ?(seeds = 30)
-    ?(base_seed = 0) ?(inputs_per_case = 3) ?(sink = Sink.null) ?(jobs = 1) ()
-    =
-  let sink = if jobs > 1 then Sink.synchronized sink else sink in
-  let tasks = Array.of_list (tasks_of ~entries) in
-  let shards, pool =
-    Pool.map ~jobs (Array.length tasks) (fun i ->
-        run_task ~mode ~seeds ~base_seed ~inputs_per_case ~sink tasks.(i))
-  in
-  let metrics = Metrics.create () in
-  register_counters metrics;
-  let c_tasks = Metrics.counter metrics "engine_tasks" in
-  Array.iter (fun s -> Metrics.merge ~into:metrics s.s_metrics) shards;
-  Metrics.incr ~by:pool.Pool.task_count c_tasks;
-  let findings =
-    let rec take n = function
-      | [] -> []
-      | _ when n = 0 -> []
-      | f :: rest -> f :: take (n - 1) rest
-    in
-    take max_findings
-      (List.concat_map (fun s -> s.s_findings) (Array.to_list shards))
-  in
-  let v name = Metrics.counter_value metrics name in
-  let totals =
-    {
-      plans = v "plans";
-      requests = v "requests";
-      grants = v "grants";
-      monitor_denials = v "monitor_denials";
-      overload_denials = v "overload_denials";
-      recovery_denials = v "recovery_denials";
-      fault_denials = v "fault_denials";
-      fail_open = v "fail_open";
-      clean_mismatch = v "clean_mismatch";
-      unanswered = v "unanswered";
-      proto_refusals = v "proto_refusals";
-      proto_misses = v "proto_misses";
-      disconnects = v "disconnects";
-      slowloris = v "slowloris";
-      malformed = v "malformed";
-      kills = v "kills";
-      kill_survivals = v "kill_survivals";
-      restarts = v "restarts";
-      resumes = v "resumes";
-      burst_requests = v "burst_requests";
-    }
-  in
+let describe ~seeds ~base_seed ~mode count =
   {
-    base_seed;
-    seeds;
-    mode;
-    totals;
-    metrics;
-    findings;
-    ok =
-      totals.fail_open = 0 && totals.clean_mismatch = 0
-      && totals.unanswered = 0 && totals.proto_misses = 0;
-    pool;
-  }
-
-let report_of r =
-  let t = r.totals in
-  {
-    FReport.title =
-      Printf.sprintf
-        "server chaos sweep: %d plans (%d seeds from %d), mode %s" t.plans
-        r.seeds r.base_seed
-        (Dynamic.mode_name r.mode);
+    Harness.title =
+      Printf.sprintf "server chaos sweep: %d plans (%d seeds from %d), mode %s"
+        (count "plans") seeds base_seed (Dynamic.mode_name mode);
     params =
       [
-        ("base_seed", Json.Int r.base_seed);
-        ("seeds", Json.Int r.seeds);
-        ("mode", Json.String (Dynamic.mode_name r.mode));
+        ("base_seed", Json.Int base_seed);
+        ("seeds", Json.Int seeds);
+        ("mode", Json.String (Dynamic.mode_name mode));
       ];
-    metrics = r.metrics;
     rows =
       [
         ("requests", "enforce requests", None);
@@ -665,29 +525,18 @@ let report_of r =
         ("burst_requests", "burst requests", None);
         ("engine_tasks", "engine tasks", None);
       ];
-    findings =
-      List.map
-        (fun f ->
-          {
-            FReport.subject =
-              [ f.entry; f.policy; "seed " ^ string_of_int f.seed; f.input ];
-            fields =
-              [
-                ("entry", Json.String f.entry);
-                ("policy", Json.String f.policy);
-                ("seed", Json.Int f.seed);
-                ("input", Json.String f.input);
-              ];
-            detail = f.detail;
-          })
-        r.findings;
-    ok = r.ok;
     verdict_ok =
       "fail-secure (every request answered in E \xe2\x88\xaa F, no fail-open \
        grant, no silence)";
     verdict_fail = "FAIL-OPEN OR SILENT REQUEST DETECTED";
   }
 
-let pp ppf r = FReport.pp ppf (report_of r)
-let to_json r = FReport.to_json (report_of r)
-let to_json_string r = FReport.to_json_string (report_of r)
+let run ?(entries = Paper.all) ?(mode = Dynamic.Surveillance) ?(seeds = 30)
+    ?(base_seed = 0) ?(inputs_per_case = 3) ?(sink = Sink.null) ?(jobs = 1) ()
+    =
+  let sink = if jobs > 1 then Sink.synchronized sink else sink in
+  Harness.run ~jobs ~stats
+    ~zero:[ "fail_open"; "clean_mismatch"; "unanswered"; "proto_misses" ]
+    ~describe:(describe ~seeds ~base_seed ~mode)
+    (Harness.cases entries)
+    (run_task ~mode ~seeds ~base_seed ~inputs_per_case ~sink)

@@ -1,97 +1,40 @@
 (** The server chaos sweep: seeded client misbehaviour and process death
-    against the enforcement service, with a zero-fail-open gate.
+    against the enforcement service.
 
-    One task per (corpus entry, policy); per task one fault-free plan plus
-    [seeds] generated {!Secpol_fault.Server_plan}s. Each plan boots a
-    fresh {!Engine} on a memory {!Store} with a small admission queue and
-    a virtual clock, opens a session, and drives the scripted requests:
+    One task per (corpus entry, policy): one fault-free plan plus [seeds]
+    generated {!Secpol_fault.Server_plan}s, each booting a fresh
+    {!Engine} on a memory {!Store} with a small admission queue and a
+    virtual clock. The invariants, gated by [fail_open = 0],
+    [clean_mismatch = 0], [unanswered = 0] and [proto_misses = 0]:
 
-    - {e clean} requests must be answered bit-identically to the guarded
-      single enforcer (the same Guard-over-Dynamic layers a local
-      {!Secpol_secpol.Run} composes);
-    - {e disconnects} abandon a half-written frame — the server carries
-      on;
-    - {e slowloris} frames stall past the frame deadline and must be
-      refused;
-    - {e malformed} frames (bad magic, bad CRC, truncation, foreign wire
-      version, garbage) must be refused — decode errors cost the sender
-      its connection, nothing else;
-    - {e kills} strike mid-request; the engine is rebuilt on the same
-      store and the client asks {!Wire.Resume} — a journaled run must
-      come back bit-identical, an unjournaled one as [Λ/recovery];
-    - {e bursts} push more requests than the queue holds — every one must
-      be answered, the clean verdict or [Λ/overload];
-    - the plan ends in a {!Wire.Drain} and every tracked request must
-      have been answered.
+    - clean requests are answered bit-identically to the guarded single
+      enforcer;
+    - disconnects, slowloris stalls and malformed frames cost the sender
+      its connection and nothing else, and are refused;
+    - a killed request resumes after the restart bit-identically when
+      journaled, as [Λ/recovery] otherwise;
+    - burst requests above queue capacity get the clean verdict or
+      [Λ/overload];
+    - every tracked request is answered in [E ∪ F] before the drain ends:
+      no foreign grant, no [Hung]/[Failed], no notice outside [F], no
+      silence.
 
-    Fail-open is: a grant differing from the clean monitor, a reply
-    outside [E ∪ F] ([Hung]/[Failed] or a denial whose notice is not in
-    [F]), or an accepted request never answered. The sweep also fails on
-    clean-path divergence and on missed refusals. Deterministic per seed;
-    the report is byte-identical at any [jobs]. *)
-
-module Dynamic = Secpol_taint.Dynamic
-module Metrics = Secpol_trace.Metrics
-module Sink = Secpol_trace.Sink
-module Pool = Secpol_engine.Pool
-module Paper = Secpol_corpus.Paper_programs
-module Json = Secpol_staticflow.Lint.Json
-
-type totals = {
-  plans : int;
-  requests : int;  (** tracked enforce requests sent *)
-  grants : int;  (** grants, all bit-identical to the clean monitor *)
-  monitor_denials : int;
-  overload_denials : int;  (** [Λ/overload] — shed, expired, drained *)
-  recovery_denials : int;  (** [Λ/recovery] — unrecoverable after a kill *)
-  fault_denials : int;  (** [Λ/degraded] *)
-  fail_open : int;
-  clean_mismatch : int;
-  unanswered : int;
-  proto_refusals : int;  (** connections refused (expected under faults) *)
-  proto_misses : int;  (** a fault the server should have refused but didn't *)
-  disconnects : int;
-  slowloris : int;
-  malformed : int;
-  kills : int;
-  kill_survivals : int;  (** armed kills the run completed ahead of *)
-  restarts : int;
-  resumes : int;
-  burst_requests : int;
-}
-
-type finding = {
-  entry : string;
-  policy : string;
-  seed : int;
-  input : string;
-  detail : string;
-}
-
-type report = {
-  base_seed : int;
-  seeds : int;
-  mode : Dynamic.mode;
-  totals : totals;
-  metrics : Metrics.t;
-  findings : finding list;
-  ok : bool;
-  pool : Pool.stats;
-}
+    Counters: [plans], [requests], [grants], [monitor_denials],
+    [overload_denials], [recovery_denials], [fault_denials], [fail_open],
+    [clean_mismatch], [unanswered], [proto_refusals], [proto_misses],
+    [disconnects], [slowloris], [malformed], [kills], [kill_survivals],
+    [restarts], [resumes], [burst_requests], [engine_tasks], then the
+    engines' own [server/*] series. *)
 
 val run :
-  ?entries:Paper.entry list ->
-  ?mode:Dynamic.mode ->
+  ?entries:Secpol_corpus.Paper_programs.entry list ->
+  ?mode:Secpol_taint.Dynamic.mode ->
   ?seeds:int ->
   ?base_seed:int ->
   ?inputs_per_case:int ->
-  ?sink:Sink.t ->
+  ?sink:Secpol_trace.Sink.t ->
   ?jobs:int ->
   unit ->
-  report
+  Secpol_fault.Harness.report
 (** Defaults: the whole corpus, surveillance mode, 30 seeds from 0, 3
     inputs per case, 1 job — 1178 plans over 38 (entry, policy) tasks. *)
-
-val pp : Format.formatter -> report -> unit
-val to_json : report -> Json.value
-val to_json_string : report -> string

@@ -749,6 +749,3 @@ let mechanism cfg g =
     ~name:(Printf.sprintf "%s(%s)" (mode_name cfg.mode) g.Graph.name)
     ~arity:g.Graph.arity
     (fun a -> run cfg g a)
-
-let mechanism_of ?fuel ?cost ?hook ?emit ~mode policy g =
-  mechanism (config ?fuel ?cost ?hook ?emit ~mode policy) g

@@ -219,23 +219,6 @@ val image_equal : image -> image -> bool
 val mechanism : config -> Graph.t -> Secpol_core.Mechanism.t
 (** Package as a protection mechanism for the flowchart's program. *)
 
-val mechanism_of :
-  ?fuel:int ->
-  ?cost:Secpol_flowgraph.Expr.cost_model ->
-  ?hook:Secpol_flowgraph.Hook.t ->
-  ?emit:Secpol_flowgraph.Emit.t ->
-  mode:mode ->
-  Secpol_core.Policy.t ->
-  Graph.t ->
-  Secpol_core.Mechanism.t
-[@@deprecated
-  "use Dynamic.mechanism (Dynamic.config ... policy) g, or the Secpol.Run \
-   facade"]
-(** Convenience: configuration and packaging in one step.
-    @deprecated The one-entry-point spelling is
-    [mechanism (config ?fuel ?cost ?hook ?emit ~mode policy) g]; whole-stack
-    callers should use [Secpol.Run]. *)
-
 val notice : string
 (** The violation notice Λ used by all four mechanisms. *)
 

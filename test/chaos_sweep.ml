@@ -6,35 +6,17 @@
    to the unguarded clean monitor. `make chaos` drives the same sweep
    through the CLI. *)
 
-module Sweep = Secpol_fault.Sweep
-
 let () =
-  let report = Sweep.run ~seeds:100 () in
-  let t = report.Sweep.totals in
-  Printf.printf "chaos: %d plans, %d guarded runs\n" t.Sweep.plans t.Sweep.runs;
-  let check name v =
-    if v = 0 then Printf.printf "ok   %-28s 0\n" name
-    else Printf.printf "FAIL %-28s %d\n" name v
-  in
-  check "fail-open outcomes" t.Sweep.fail_open;
-  check "clean-run mismatches" t.Sweep.clean_mismatch;
-  (* Sanity on the sweep itself: it must actually have injected something,
-     degraded something, and recovered something — an accidentally inert
-     sweep would pass the two gates above while testing nothing. *)
-  let nonzero name v =
-    if v > 0 then Printf.printf "ok   %-28s %d\n" name v
-    else Printf.printf "FAIL %-28s 0 (sweep is inert)\n" name
-  in
-  nonzero "faults absorbed (degraded)" t.Sweep.degraded;
-  nonzero "unguarded crashes contrast" t.Sweep.unguarded_failures;
-  nonzero "recovered grants" t.Sweep.recovered;
-  List.iter
-    (fun (f : Sweep.finding) ->
-      Printf.printf "  ! %s / %s / seed %d / %s: %s\n" f.Sweep.entry
-        f.Sweep.policy f.Sweep.seed f.Sweep.input f.Sweep.detail)
-    report.Sweep.findings;
-  if
-    not
-      (report.Sweep.ok && t.Sweep.degraded > 0 && t.Sweep.unguarded_failures > 0
-     && t.Sweep.recovered > 0)
-  then exit 1
+  Util.sweep_gate
+    (Secpol_fault.Sweep.run ~seeds:100 ())
+    ~zero:
+      [
+        ("fail-open outcomes", "fail_open");
+        ("clean-run mismatches", "clean_mismatch");
+      ]
+    ~nonzero:
+      [
+        ("faults absorbed (degraded)", "degraded");
+        ("unguarded crashes contrast", "unguarded_failures");
+        ("recovered grants", "recovered");
+      ]

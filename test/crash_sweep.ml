@@ -7,40 +7,19 @@
    journaled-vs-plain mismatches. `make chaos-crash` drives the same sweep
    through the CLI. *)
 
-module Crash = Secpol_fault.Crash
-
 let () =
-  let report = Crash.run ~crash_points:50 () in
-  let t = report.Crash.totals in
-  Printf.printf "crash sweep: %d cases, %d kill/resume cycles\n" t.Crash.cases
-    t.Crash.crashes;
-  let check name v =
-    if v = 0 then Printf.printf "ok   %-28s 0\n" name
-    else Printf.printf "FAIL %-28s %d\n" name v
-  in
-  check "divergent resumes" t.Crash.divergent;
-  check "fail-open resumes" t.Crash.fail_open;
-  check "journaled-run mismatches" t.Crash.journal_mismatch;
-  (* Sanity on the sweep itself: it must actually have resumed runs
-     bit-identically, re-delivered journaled verdicts, survived crash-shaped
-     damage and refused corruption — an inert sweep would pass the gates
-     above while testing nothing. *)
-  let nonzero name v =
-    if v > 0 then Printf.printf "ok   %-28s %d\n" name v
-    else Printf.printf "FAIL %-28s 0 (sweep is inert)\n" name
-  in
-  nonzero "bit-identical resumes" t.Crash.identical;
-  nonzero "complete replays" t.Crash.complete_replays;
-  nonzero "tampering survived" t.Crash.tamper_survived;
-  nonzero "recovery notices" t.Crash.recovery_notices;
-  List.iter
-    (fun (f : Crash.finding) ->
-      Printf.printf "  ! %s / %s / %s / crash@%d / %s: %s\n" f.Crash.entry
-        f.Crash.policy f.Crash.input f.Crash.crash_point f.Crash.tamper
-        f.Crash.detail)
-    report.Crash.findings;
-  if
-    not
-      (report.Crash.ok && t.Crash.identical > 0 && t.Crash.complete_replays > 0
-     && t.Crash.tamper_survived > 0 && t.Crash.recovery_notices > 0)
-  then exit 1
+  Util.sweep_gate
+    (Secpol_fault.Crash.run ~crash_points:50 ())
+    ~zero:
+      [
+        ("divergent resumes", "divergent");
+        ("fail-open resumes", "fail_open");
+        ("journaled-run mismatches", "journal_mismatch");
+      ]
+    ~nonzero:
+      [
+        ("bit-identical resumes", "identical");
+        ("complete replays", "complete_replays");
+        ("tampering survived", "tamper_survived");
+        ("recovery notices", "recovery_notices");
+      ]

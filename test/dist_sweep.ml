@@ -7,53 +7,29 @@
    fault-free pass at shard counts 1, 2, 3 and 5. `make chaos-dist`
    drives the same sweep through the CLI. *)
 
-module Sweep = Secpol_dist.Sweep
-
 let () =
-  let report = Sweep.run ~seeds:30 () in
-  let t = report.Sweep.totals in
-  Printf.printf "dist chaos: %d plans, %d distributed runs\n" t.Sweep.plans
-    t.Sweep.runs;
-  if t.Sweep.plans < 1000 then begin
-    Printf.printf "FAIL plans %d < 1000\n" t.Sweep.plans;
-    exit 1
-  end;
-  let check name v =
-    if v = 0 then Printf.printf "ok   %-28s 0\n" name
-    else Printf.printf "FAIL %-28s %d\n" name v
-  in
-  check "fail-open merges" t.Sweep.fail_open;
-  check "clean-run mismatches" t.Sweep.clean_mismatch;
-  (* The sweep must actually have disturbed something in every fault
-     class — an inert sweep would pass the gates above while testing
-     nothing. *)
-  let inert = ref false in
-  let nonzero name v =
-    if v > 0 then Printf.printf "ok   %-28s %d\n" name v
-    else begin
-      Printf.printf "FAIL %-28s 0 (sweep is inert)\n" name;
-      inert := true
-    end
-  in
-  nonzero "grants" t.Sweep.grants;
-  nonzero "recovered grants" t.Sweep.recovered;
-  nonzero "monitor denials" t.Sweep.monitor_denials;
-  nonzero "partitions" t.Sweep.partitions;
-  nonzero "shard kills" t.Sweep.shard_kills;
-  nonzero "monitor-faulty shards" t.Sweep.monitor_faults;
-  nonzero "coordinator timeouts" t.Sweep.timeouts;
-  nonzero "retransmissions" t.Sweep.retransmits;
-  nonzero "journal recoveries" t.Sweep.journal_resumes;
-  nonzero "shards lost" t.Sweep.lost_shards;
-  nonzero "messages dropped" t.Sweep.net_dropped;
-  nonzero "messages delayed" t.Sweep.net_delayed;
-  nonzero "messages duplicated" t.Sweep.net_duplicated;
-  nonzero "messages reordered" t.Sweep.net_reordered;
-  nonzero "messages corrupted" t.Sweep.net_corrupted;
-  List.iter
-    (fun (f : Sweep.finding) ->
-      Printf.printf "  ! %s / %s / seed %d / %d shards / %s: %s\n"
-        f.Sweep.entry f.Sweep.policy f.Sweep.seed f.Sweep.shards f.Sweep.input
-        f.Sweep.detail)
-    report.Sweep.findings;
-  if (not report.Sweep.ok) || !inert then exit 1
+  Util.sweep_gate ~min_plans:1000
+    (Secpol_dist.Sweep.run ~seeds:30 ())
+    ~zero:
+      [
+        ("fail-open merges", "fail_open");
+        ("clean-run mismatches", "clean_mismatch");
+      ]
+    ~nonzero:
+      [
+        ("grants", "grants");
+        ("recovered grants", "recovered");
+        ("monitor denials", "monitor_denials");
+        ("partitions", "partitions");
+        ("shard kills", "shard_kills");
+        ("monitor-faulty shards", "monitor_faults");
+        ("coordinator timeouts", "timeouts");
+        ("retransmissions", "retransmits");
+        ("journal recoveries", "journal_resumes");
+        ("shards lost", "lost_shards");
+        ("messages dropped", "net_dropped");
+        ("messages delayed", "net_delayed");
+        ("messages duplicated", "net_duplicated");
+        ("messages reordered", "net_reordered");
+        ("messages corrupted", "net_corrupted");
+      ]

@@ -7,51 +7,28 @@
    resume — never a foreign grant, never silence. `make serve-chaos`
    drives the same sweep through the CLI. *)
 
-module Chaos = Secpol_server.Chaos
-
 let () =
-  let report = Chaos.run ~seeds:30 () in
-  let t = report.Chaos.totals in
-  Printf.printf "server chaos: %d plans, %d enforce requests\n" t.Chaos.plans
-    t.Chaos.requests;
-  if t.Chaos.plans < 1000 then begin
-    Printf.printf "FAIL plans %d < 1000\n" t.Chaos.plans;
-    exit 1
-  end;
-  let check name v =
-    if v = 0 then Printf.printf "ok   %-28s 0\n" name
-    else Printf.printf "FAIL %-28s %d\n" name v
-  in
-  check "fail-open replies" t.Chaos.fail_open;
-  check "clean mismatches" t.Chaos.clean_mismatch;
-  check "unanswered requests" t.Chaos.unanswered;
-  check "refusals missed" t.Chaos.proto_misses;
-  (* The sweep must actually have disturbed something in every fault
-     class — an inert sweep would pass the gates above while testing
-     nothing. *)
-  let inert = ref false in
-  let nonzero name v =
-    if v > 0 then Printf.printf "ok   %-28s %d\n" name v
-    else begin
-      Printf.printf "FAIL %-28s 0 (sweep is inert)\n" name;
-      inert := true
-    end
-  in
-  nonzero "grants" t.Chaos.grants;
-  nonzero "monitor denials" t.Chaos.monitor_denials;
-  nonzero "overload denials" t.Chaos.overload_denials;
-  nonzero "recovery denials" t.Chaos.recovery_denials;
-  nonzero "connections refused" t.Chaos.proto_refusals;
-  nonzero "client disconnects" t.Chaos.disconnects;
-  nonzero "slowloris frames" t.Chaos.slowloris;
-  nonzero "malformed frames" t.Chaos.malformed;
-  nonzero "kills armed" t.Chaos.kills;
-  nonzero "restarts" t.Chaos.restarts;
-  nonzero "resume requests" t.Chaos.resumes;
-  nonzero "burst requests" t.Chaos.burst_requests;
-  List.iter
-    (fun (f : Chaos.finding) ->
-      Printf.printf "  ! %s / %s / seed %d / %s: %s\n" f.Chaos.entry
-        f.Chaos.policy f.Chaos.seed f.Chaos.input f.Chaos.detail)
-    report.Chaos.findings;
-  if (not report.Chaos.ok) || !inert then exit 1
+  Util.sweep_gate ~min_plans:1000
+    (Secpol_server.Chaos.run ~seeds:30 ())
+    ~zero:
+      [
+        ("fail-open replies", "fail_open");
+        ("clean mismatches", "clean_mismatch");
+        ("unanswered requests", "unanswered");
+        ("refusals missed", "proto_misses");
+      ]
+    ~nonzero:
+      [
+        ("grants", "grants");
+        ("monitor denials", "monitor_denials");
+        ("overload denials", "overload_denials");
+        ("recovery denials", "recovery_denials");
+        ("connections refused", "proto_refusals");
+        ("client disconnects", "disconnects");
+        ("slowloris frames", "slowloris");
+        ("malformed frames", "malformed");
+        ("kills armed", "kills");
+        ("restarts", "restarts");
+        ("resume requests", "resumes");
+        ("burst requests", "burst_requests");
+      ]

@@ -8,7 +8,7 @@ module Pool = Secpol_engine.Pool
 module Cache = Secpol_engine.Cache
 module Memo = Secpol_engine.Memo
 module Exhaustive = Secpol_engine.Exhaustive
-module Report = Secpol_fault.Report
+module Harness = Secpol_fault.Harness
 module Sweep = Secpol_fault.Sweep
 module Crash = Secpol_fault.Crash
 module Json = Secpol_staticflow.Lint.Json
@@ -158,7 +158,7 @@ let check_memo_agrees name policy space direct =
       Seq.iter
         (fun a ->
           Alcotest.check obs_testable
-            (Printf.sprintf "%s on %s" g_tag (Report.show_input a))
+            (Printf.sprintf "%s on %s" g_tag (Harness.show_input a))
             (canonical (Mechanism.respond direct a))
             (canonical (Mechanism.respond memo a)))
         (Space.enumerate space);
@@ -178,7 +178,7 @@ let test_memo_corpus () =
               g
           in
           check_memo_agrees e.Paper.name policy e.Paper.space direct)
-        (Report.policies_of_arity arity))
+        (Harness.policies_of_arity arity))
     Paper.all
 
 let prop_memo_random_programs =
@@ -248,7 +248,7 @@ let test_exhaustive_check_parity () =
                     (verdict_str seq) (verdict_str got))
                 both_algos)
             [ 1; 4 ])
-        (Report.policies_of_arity arity))
+        (Harness.policies_of_arity arity))
     Paper.all
 
 let test_exhaustive_check_timed_view () =
@@ -284,7 +284,7 @@ let test_exhaustive_maximal_parity () =
             (fun a ->
               Alcotest.(check string)
                 (Printf.sprintf "%s maximal (%s) on %s" name
-                   (Analyze.algo_name algo) (Report.show_input a))
+                   (Analyze.algo_name algo) (Harness.show_input a))
                 (show_mech_reply (Mechanism.respond seq a))
                 (show_mech_reply (Mechanism.respond got a)))
             (Space.enumerate e.Paper.space);
@@ -312,13 +312,13 @@ let test_sweep_jobs_byte_identity () =
   let at jobs = Sweep.run ~entries ~seeds:30 ~jobs () in
   let r1 = at 1 and r4 = at 4 in
   Alcotest.(check string) "chaos JSON identical across jobs"
-    (Sweep.to_json_string r1) (Sweep.to_json_string r4);
+    (Harness.to_json_string r1) (Harness.to_json_string r4);
   Alcotest.(check string) "chaos text identical across jobs"
-    (Format.asprintf "%a" Sweep.pp r1)
-    (Format.asprintf "%a" Sweep.pp r4);
-  Alcotest.(check bool) "sweep is fail-secure" true r1.Sweep.ok;
+    (Format.asprintf "%a" Harness.pp r1)
+    (Format.asprintf "%a" Harness.pp r4);
+  Alcotest.(check bool) "sweep is fail-secure" true r1.Harness.ok;
   (* The cache counters are part of the deterministic report. *)
-  let json = Sweep.to_json_string r1 in
+  let json = Harness.to_json_string r1 in
   let contains needle =
     let n = String.length needle and h = String.length json in
     let rec at i = i + n <= h && (String.sub json i n = needle || at (i + 1)) in
@@ -334,24 +334,46 @@ let test_crash_jobs_byte_identity () =
   let at jobs = Crash.run ~entries ~crash_points:4 ~jobs () in
   let r1 = at 1 and r4 = at 4 in
   Alcotest.(check string) "crash JSON identical across jobs"
-    (Crash.to_json_string r1) (Crash.to_json_string r4);
+    (Harness.to_json_string r1) (Harness.to_json_string r4);
   Alcotest.(check string) "crash text identical across jobs"
-    (Format.asprintf "%a" Crash.pp r1)
-    (Format.asprintf "%a" Crash.pp r4);
-  Alcotest.(check bool) "crash sweep is clean" true r1.Crash.ok
+    (Format.asprintf "%a" Harness.pp r1)
+    (Format.asprintf "%a" Harness.pp r4);
+  Alcotest.(check bool) "crash sweep is clean" true r1.Harness.ok
 
-(* --- report ordering --------------------------------------------------- *)
+(* A single input per case is the first input of the space. *)
+let test_crash_one_input_per_case () =
+  let r =
+    Crash.run ~entries:[ Paper.find "ex7" ] ~crash_points:2 ~inputs_per_case:1
+      ()
+  in
+  Alcotest.(check bool) "crash sweep is clean" true r.Harness.ok;
+  Alcotest.(check int) "one case per policy" 4 (Harness.count r "cases")
+
+(* --- report ordering and lookup ---------------------------------------- *)
 
 let test_report_findings_sorted () =
-  let f fields detail = { Report.subject = [ "s" ]; fields; detail } in
+  let f fields detail = { Harness.subject = [ "s" ]; fields; detail } in
   let a = f [ ("k", Json.Int 2) ] "z" in
   let b = f [ ("k", Json.Int 1) ] "y" in
   let c = f [ ("k", Json.Int 1) ] "x" in
-  Alcotest.(check bool) "fields dominate" true (Report.compare_finding b a < 0);
-  Alcotest.(check bool) "detail breaks ties" true (Report.compare_finding c b < 0);
-  let sorted = Report.sort_findings [ a; b; c ] in
+  Alcotest.(check bool) "fields dominate" true (Harness.compare_finding b a < 0);
+  Alcotest.(check bool) "detail breaks ties" true
+    (Harness.compare_finding c b < 0);
+  let sorted = List.stable_sort Harness.compare_finding [ a; b; c ] in
   Alcotest.(check (list string)) "stable sorted order" [ "x"; "y"; "z" ]
-    (List.map (fun (x : Report.finding) -> x.Report.detail) sorted)
+    (List.map (fun (x : Harness.finding) -> x.Harness.detail) sorted)
+
+(* A gate on a misspelt counter must fail loudly, not read 0. *)
+let test_count_unknown_raises () =
+  let r = Sweep.run ~entries:[ Paper.find "ex7" ] ~seeds:1 () in
+  Alcotest.(check int) "a registered counter" 0 (Harness.count r "fail_open");
+  let raises name =
+    match Harness.count r name with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "unregistered name raises" true (raises "fail_opem");
+  Alcotest.(check bool) "histogram name raises" true (raises "guard_steps")
 
 let () =
   Alcotest.run "engine"
@@ -396,7 +418,11 @@ let () =
             test_sweep_jobs_byte_identity;
           Alcotest.test_case "crash report byte-identical across jobs" `Slow
             test_crash_jobs_byte_identity;
+          Alcotest.test_case "crash sweep with one input per case" `Quick
+            test_crash_one_input_per_case;
           Alcotest.test_case "findings sorted by stable key" `Quick
             test_report_findings_sorted;
+          Alcotest.test_case "count raises on an unregistered name" `Quick
+            test_count_unknown_raises;
         ] );
     ]

@@ -12,7 +12,7 @@ module Notice = Secpol_core.Notice
 module Dynamic = Secpol_taint.Dynamic
 module Ast = Secpol_flowgraph.Ast
 module Paper = Secpol_corpus.Paper_programs
-module FReport = Secpol_fault.Report
+module Harness = Secpol_fault.Harness
 module Wire = Secpol_server.Wire
 
 let starts_with prefix s =
@@ -136,7 +136,7 @@ let test_corpus_exhaustive () =
                     (Space.enumerate e.Paper.space))
                 [ None; Some 4 ])
             modes)
-        (FReport.policies_of_arity arity))
+        (Harness.policies_of_arity arity))
     Paper.all;
   if !denials = 0 then Alcotest.fail "inert sweep: no denial was emitted";
   if !fuel_denials = 0 then

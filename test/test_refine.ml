@@ -14,7 +14,7 @@ module Refine = Secpol_core.Refine
 module Cache = Secpol_engine.Cache
 module Exhaustive = Secpol_engine.Exhaustive
 module Analyze = Secpol.Analyze
-module Report = Secpol_fault.Report
+module Harness = Secpol_fault.Harness
 module Paper = Secpol_corpus.Paper_programs
 module Generator = Secpol_corpus.Generator
 module Compile = Secpol_flowgraph.Compile
@@ -70,7 +70,7 @@ let check_against_oracle msg view policy q space =
   Seq.iter
     (fun a ->
       Alcotest.(check string)
-        (Printf.sprintf "%s: maximal reply on %s" msg (Report.show_input a))
+        (Printf.sprintf "%s: maximal reply on %s" msg (Harness.show_input a))
         (show_mech_reply (Mechanism.respond brute_m a))
         (show_mech_reply (Mechanism.respond refined_m a)))
     (Space.enumerate space)
@@ -104,7 +104,7 @@ let test_corpus_differential () =
                    vname)
                 view policy q e.Paper.space)
             views)
-        (Report.policies_of_arity arity))
+        (Harness.policies_of_arity arity))
     Paper.all
 
 let test_corpus_soundness_differential () =
@@ -132,7 +132,7 @@ let test_corpus_soundness_differential () =
             Soundness.default policy
             (Mechanism.of_program (Paper.program e))
             e.Paper.space)
-        (Report.policies_of_arity arity))
+        (Harness.policies_of_arity arity))
     Paper.all
 
 (* --- adversarial partitions -------------------------------------------- *)
@@ -236,7 +236,7 @@ let prop_random_differential =
           check_soundness_against_oracle
             (Policy.name policy ^ "/raw-Q") Soundness.default policy
             (Mechanism.of_program q) space)
-        (Report.policies_of_arity (Space.arity space));
+        (Harness.policies_of_arity (Space.arity space));
       true)
 
 (* --- cache sharing ------------------------------------------------------ *)
@@ -286,7 +286,7 @@ let test_analyze_brute_equals_refine () =
       Seq.iter
         (fun a ->
           Alcotest.(check string)
-            (Printf.sprintf "Analyze jobs=%d on %s" jobs (Report.show_input a))
+            (Printf.sprintf "Analyze jobs=%d on %s" jobs (Harness.show_input a))
             (show_mech_reply (Mechanism.respond m_b a))
             (show_mech_reply (Mechanism.respond m_r a)))
         (Space.enumerate e.Paper.space);

@@ -17,7 +17,7 @@ let every_input space f = Seq.iter f (Space.enumerate space)
 
 let check_replies msg a want got =
   Alcotest.(check string)
-    (Printf.sprintf "%s on %s" msg (Secpol_fault.Report.show_input a))
+    (Printf.sprintf "%s on %s" msg (Secpol_fault.Harness.show_input a))
     (show_mech_reply want) (show_mech_reply got)
 
 (* --- single layers ----------------------------------------------------- *)

@@ -17,7 +17,7 @@ module Chaos = Secpol_server.Chaos
 module Dynamic = Secpol_taint.Dynamic
 module Paper = Secpol_corpus.Paper_programs
 module Guard = Secpol_fault.Guard
-module FReport = Secpol_fault.Report
+module Harness = Secpol_fault.Harness
 module Hook = Secpol_flowgraph.Hook
 module Frame = Secpol_journal.Frame
 module Media = Secpol_journal.Media
@@ -420,7 +420,7 @@ let denial_of d id =
   | Mechanism.Denied n -> n
   | r ->
       Alcotest.failf "request %d: expected a denial, got %s" id
-        (FReport.show_response r)
+        (Harness.show_response r)
 
 (* Clean parity: through the whole service stack, every verdict is
    bit-identical to the clean monitor's. *)
@@ -441,7 +441,7 @@ let test_engine_clean_parity () =
           let want = clean_reply entry ~policy a in
           if got <> want then
             Alcotest.failf "%s input %d: %s, clean %s" name id
-              (FReport.show_reply got) (FReport.show_reply want))
+              (Harness.show_reply got) (Harness.show_reply want))
         inputs)
     [ "ex7"; "forgetting"; "constant-branch" ]
 
@@ -480,7 +480,7 @@ let test_overload_burst_all_answered () =
     if got = want then ()
     else if got.Mechanism.response = Mechanism.Denied overload then
       Stdlib.incr sheds
-    else Alcotest.failf "request %d: %s" id (FReport.show_reply got)
+    else Alcotest.failf "request %d: %s" id (Harness.show_reply got)
   done;
   if !sheds = 0 then Alcotest.fail "burst over capacity shed nothing"
 
@@ -508,7 +508,7 @@ let test_drain_answers_everything () =
   for id = 0 to 3 do
     let got = reply_of d id in
     if got <> want && got.Mechanism.response <> Mechanism.Denied overload then
-      Alcotest.failf "admitted request %d: %s" id (FReport.show_reply got)
+      Alcotest.failf "admitted request %d: %s" id (Harness.show_reply got)
   done;
   Alcotest.(check string) "post-drain request refused" overload (denial_of d 9)
 
@@ -548,7 +548,7 @@ let test_kill_restart_resume () =
         let want = clean_reply entry ~policy a in
         if got <> want then
           Alcotest.failf "journaled resume diverged: %s, clean %s"
-            (FReport.show_reply got) (FReport.show_reply want)
+            (Harness.show_reply got) (Harness.show_reply want)
       end
       else
         Alcotest.(check string) "unjournaled resume degrades" recovery
@@ -599,8 +599,8 @@ let test_legacy_store_boots () =
         settle d;
         let got = reply_of d 7 in
         if got <> want then
-          Alcotest.failf "resume gave %s, clean %s" (FReport.show_reply got)
-            (FReport.show_reply want);
+          Alcotest.failf "resume gave %s, clean %s" (Harness.show_reply got)
+            (Harness.show_reply want);
         d
       in
       let d = resume_7 (clean_reply entry ~policy old_inputs) in
@@ -725,7 +725,7 @@ let test_session_verdict_cache () =
         let want = clean_reply entry ~policy a in
         if got <> want then
           Alcotest.failf "round %d input %d: %s, clean %s" rep i
-            (FReport.show_reply got) (FReport.show_reply want))
+            (Harness.show_reply got) (Harness.show_reply want))
       inputs
   done;
   let m = Engine.metrics d.engine in
@@ -756,7 +756,7 @@ let test_session_verdict_cache () =
       let want = clean_reply entry ~policy a in
       if got <> want then
         Alcotest.failf "uncached input %d: %s, clean %s" i
-          (FReport.show_reply got) (FReport.show_reply want))
+          (Harness.show_reply got) (Harness.show_reply want))
     inputs
 
 (* The I-projection soundness proof quantifies over the corpus space
@@ -788,8 +788,8 @@ let test_session_cache_out_of_space () =
       let got = reply_of d id in
       let want = clean_reply entry ~policy a in
       if got <> want then
-        Alcotest.failf "request %d: %s, clean %s" id (FReport.show_reply got)
-          (FReport.show_reply want))
+        Alcotest.failf "request %d: %s, clean %s" id (Harness.show_reply got)
+          (Harness.show_reply want))
     [ (0, inside); (1, outside); (2, outside) ];
   (* The exact-key fallback still caches: the repeat was a hit. *)
   Alcotest.(check bool) "repeat of the out-of-space input hits" true
@@ -825,8 +825,8 @@ let test_session_cache_space_limit () =
       let got = reply_of d (n + i) in
       let want = clean_reply entry ~policy a in
       if got <> want then
-        Alcotest.failf "input %d: %s, clean %s" i (FReport.show_reply got)
-          (FReport.show_reply want))
+        Alcotest.failf "input %d: %s, clean %s" i (Harness.show_reply got)
+          (Harness.show_reply want))
     inputs
 
 (* Per-session latency histograms: one sample per executed request. *)
@@ -1005,7 +1005,7 @@ let test_loadgen_scrape_parity () =
 let test_chaos_jobs_parity () =
   let entries = [ Paper.find "ex7" ] in
   let json jobs =
-    Chaos.to_json_string (Chaos.run ~entries ~seeds:4 ~jobs ())
+    Harness.to_json_string (Chaos.run ~entries ~seeds:4 ~jobs ())
   in
   Alcotest.(check string) "jobs 1 = jobs 2" (json 1) (json 2)
 
@@ -1050,7 +1050,7 @@ let test_daemon_socket_smoke () =
               let want = clean_reply entry ~policy a in
               if got <> want then
                 Alcotest.failf "daemon diverged on input %d: %s vs %s" id
-                  (FReport.show_reply got) (FReport.show_reply want)
+                  (Harness.show_reply got) (Harness.show_reply want)
           | Error m -> Alcotest.failf "enforce refused: %s" m)
         (Space.enumerate entry.Paper.space);
       (match Client.drain c with

@@ -9,6 +9,7 @@ module Mechanism = Secpol_core.Mechanism
 module Soundness = Secpol_core.Soundness
 module Completeness = Secpol_core.Completeness
 module Maximal = Secpol_core.Maximal
+module Harness = Secpol_fault.Harness
 
 let ints l = Array.of_list (List.map Value.int l)
 
@@ -136,3 +137,36 @@ let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 let write_file path s =
   Out_channel.with_open_bin path (fun oc -> Out_channel.output_string oc s)
+
+(* The acceptance gate of a chaos sweep executable: print the report title
+   and one line per check, list the findings, and exit 1 unless the report
+   is ok, every [zero] counter is 0, every [nonzero] counter is positive
+   (an inert sweep would pass the zero gates while testing nothing) and
+   the sweep ran at least [min_plans] plans. Checks are (label, counter). *)
+let sweep_gate ?min_plans ~zero ~nonzero (r : Harness.report) =
+  let count = Harness.count r in
+  let failed = ref (not r.Harness.ok) in
+  let check ok label v note =
+    Printf.printf "%s %-28s %d%s\n" (if ok then "ok  " else "FAIL") label v note;
+    if not ok then failed := true
+  in
+  print_endline r.Harness.view.Harness.title;
+  Option.iter
+    (fun n ->
+      check (count "plans" >= n) (Printf.sprintf "plans >= %d" n)
+        (count "plans") "")
+    min_plans;
+  List.iter (fun (label, name) -> check (count name = 0) label (count name) "")
+    zero;
+  List.iter
+    (fun (label, name) ->
+      let v = count name in
+      check (v > 0) label v (if v > 0 then "" else " (sweep is inert)"))
+    nonzero;
+  List.iter
+    (fun (f : Harness.finding) ->
+      Printf.printf "  ! %s: %s\n"
+        (String.concat " / " f.Harness.subject)
+        f.Harness.detail)
+    r.Harness.findings;
+  if !failed then exit 1
