@@ -158,7 +158,11 @@ let out_of_fuel steps = reply (Mechanism.Denied fuel_notice) steps
    holds it to that. The explicit state is what makes monitored runs
    durable: between any two [step]s the whole run is a first-class value
    that can be imaged, journaled, and restored after a crash
-   ([Secpol_journal]). *)
+   ([Secpol_journal]).
+
+   [step] is the only graph walker. The full monitor, the residual monitor
+   ([run_residual]) and the observer ([out_taint]) are machines over it
+   that differ in their watch plan and in where the fold stops. *)
 
 type state = {
   st_node : int;
@@ -171,7 +175,16 @@ type state = {
   st_frames : (Iset.t * int) list;
 }
 
-type machine = { m_cfg : config; m_graph : Graph.t; m_ipd : int array }
+(* A static watch plan in force, with the committed assignment and decision
+   boxes it has watched and released so far. *)
+type plan = { watch : bool array; mutable watched : int; mutable skipped : int }
+
+type machine = {
+  m_cfg : config;
+  m_graph : Graph.t;
+  m_ipd : int array;
+  m_plan : plan option;  (* [None]: every box watched, the full monitor *)
+}
 
 type step_result = Step of state | Final of Mechanism.reply
 
@@ -181,12 +194,9 @@ let prepare cfg g =
     | Scoped -> Graphalgo.immediate_postdominator g
     | High_water | Surveillance | Timed -> [||]
   in
-  { m_cfg = cfg; m_graph = g; m_ipd = ipd }
+  { m_cfg = cfg; m_graph = g; m_ipd = ipd; m_plan = None }
 
-let machine_config m = m.m_cfg
-let machine_graph m = m.m_graph
 let steps_of st = st.st_steps
-let node_of st = st.st_node
 
 let start m inputs =
   let g = m.m_graph in
@@ -231,11 +241,41 @@ let rec restore_frames node pc frames =
 
 let out_src = Var.Set.singleton Var.Out
 
+(* Consult the fault hook, then cross-check the redundant taint store BEFORE
+   any surveillance variable is read at this box. The result is the
+   fail-secure reply to give instead of the box's normal behavior, if any. *)
+let stricken cfg taints steps =
+  let injected =
+    match cfg.hook ~step:steps with
+    | Some (Hook.Crash msg) ->
+        Some (reply (Mechanism.Failed (Interp.monitor_fault_prefix ^ msg)) steps)
+    | Some Hook.Starve -> Some (out_of_fuel steps)
+    | Some Hook.Corrupt ->
+        Taint_store.corrupt taints ~step:steps;
+        None
+    | None -> None
+  in
+  match injected with
+  | Some _ -> injected
+  | None ->
+      if Taint_store.consistent taints then None
+      else Some (reply (Mechanism.Failed corruption_fault) steps)
+
+(* Whether the committed assignment or decision box at [node] does its
+   surveillance work; a residual plan also counts it. *)
+let watches m node =
+  match m.m_plan with
+  | None -> true
+  | Some plan ->
+      let w = plan.watch.(node) in
+      if w then plan.watched <- plan.watched + 1
+      else plan.skipped <- plan.skipped + 1;
+      w
+
 let step m st =
-  let cfg = m.m_cfg and g = m.m_graph in
-  let steps = st.st_steps in
+  let cfg = m.m_cfg and node = st.st_node and steps = st.st_steps in
   let pc, frames =
-    if cfg.mode = Scoped then restore_frames st.st_node st.st_pc st.st_frames
+    if cfg.mode = Scoped then restore_frames node st.st_pc st.st_frames
     else (st.st_pc, st.st_frames)
   in
   (match cfg.emit with
@@ -243,132 +283,104 @@ let step m st =
   | Emit.Sink _ ->
       (* A scope frame popped: the control context shrank at this box. *)
       if not (frames == st.st_frames) then
-        Emit.pc cfg.emit ~step:steps ~node:st.st_node ~pc ~srcs:Var.Set.empty);
+        Emit.pc cfg.emit ~step:steps ~node ~pc ~srcs:Var.Set.empty);
   let taints = st.st_taints in
   let env = Store.lookup st.st_store in
-  let ok l = Iset.subset l cfg.allowed in
-  (* Consult the fault hook, then cross-check the redundant taint store
-     BEFORE any surveillance variable is read at this box. The result is
-     the fail-secure path to take instead of the box's normal behavior, if
-     any. *)
-  let stricken () =
-    let injected =
-      match cfg.hook ~step:steps with
-      | Some (Hook.Crash msg) ->
-          Some (reply (Mechanism.Failed (Interp.monitor_fault_prefix ^ msg)) steps)
-      | Some Hook.Starve -> Some (out_of_fuel steps)
-      | Some Hook.Corrupt ->
-          Taint_store.corrupt taints ~step:steps;
-          None
-      | None -> None
-    in
-    match injected with
-    | Some _ as r -> r
-    | None ->
-        if Taint_store.consistent taints then None
-        else Some (reply (Mechanism.Failed corruption_fault) steps)
-  in
   try
-    match g.Graph.nodes.(st.st_node) with
+    match m.m_graph.Graph.nodes.(node) with
     | Graph.Start next ->
         Step { st with st_node = next; st_pc = pc; st_frames = frames }
     | Graph.Assign (v, e, next) -> (
-        match stricken () with
+        match stricken cfg taints steps with
         | Some r -> Final r
+        | None when steps >= cfg.fuel -> Final (out_of_fuel steps)
         | None ->
-            if steps >= cfg.fuel then Final (out_of_fuel steps)
-            else begin
-              let vs = Expr.vars e in
-              let rhs_taint = Taint_store.of_vars taints vs in
-              let base = Iset.union rhs_taint pc in
-              let taint =
+            (* An unwatched assignment records the empty taint: the plan
+               proved its join has no disallowed bits, or that it never
+               reaches a check. *)
+            let watched = watches m node in
+            let vs = if watched then Expr.vars e else Var.Set.empty in
+            let taint =
+              if not watched then Iset.empty
+              else
+                let base = Iset.union (Taint_store.of_vars taints vs) pc in
                 match cfg.mode with
                 | High_water -> Iset.union (Taint_store.get taints v) base
                 | Surveillance | Scoped | Timed -> base
-              in
-              let value, extra = Expr.eval_cost cfg.cost env e in
-              Store.set st.st_store v value;
-              Taint_store.set taints v taint;
-              Emit.box cfg.emit ~step:steps ~node:st.st_node;
-              Emit.taint cfg.emit ~step:steps ~node:st.st_node ~var:v ~taint
-                ~srcs:vs;
+            in
+            let value, extra = Expr.eval_cost cfg.cost env e in
+            Store.set st.st_store v value;
+            Taint_store.set taints v taint;
+            Emit.box cfg.emit ~step:steps ~node;
+            if watched then
+              Emit.taint cfg.emit ~step:steps ~node ~var:v ~taint ~srcs:vs;
+            Step
+              {
+                st with
+                st_node = next;
+                st_steps = steps + 1 + extra;
+                st_pc = pc;
+                st_frames = frames;
+              })
+    | Graph.Decision (p, if_true, if_false) -> (
+        match stricken cfg taints steps with
+        | Some r -> Final r
+        | None when steps >= cfg.fuel -> Final (out_of_fuel steps)
+        | None ->
+            (* An unwatched decision leaves C̄ alone and skips the timed
+               check: the plan proved its test adds only allowed bits. Its
+               scope frame is pushed either way, so inner watched decisions
+               pop the same saved contexts. *)
+            let watched = watches m node in
+            let frames =
+              if cfg.mode = Scoped && m.m_ipd.(node) >= 0 then
+                (pc, m.m_ipd.(node)) :: frames
+              else frames
+            in
+            let pvs = if watched then Expr.pred_vars p else Var.Set.empty in
+            let pc =
+              if watched then Iset.union pc (Taint_store.of_vars taints pvs)
+              else pc
+            in
+            if watched && cfg.mode = Timed && not (Iset.subset pc cfg.allowed)
+            then begin
+              (* Rule of Theorem 3': abort before the disallowed test. *)
+              Emit.box cfg.emit ~step:steps ~node;
+              Emit.condemn cfg.emit ~step:steps ~node ~at_decision:true
+                ~taint:pc ~srcs:pvs ~notice:(denial_text cfg ~taint:pc);
+              Final (denied cfg ~taint:pc steps)
+            end
+            else begin
+              let taken, extra = Expr.eval_pred_cost cfg.cost env p in
+              Emit.box cfg.emit ~step:steps ~node;
+              if watched then Emit.pc cfg.emit ~step:steps ~node ~pc ~srcs:pvs;
               Step
                 {
                   st with
-                  st_node = next;
+                  st_node = (if taken then if_true else if_false);
                   st_steps = steps + 1 + extra;
                   st_pc = pc;
                   st_frames = frames;
                 }
             end)
-    | Graph.Decision (p, if_true, if_false) -> (
-        match stricken () with
-        | Some r -> Final r
-        | None ->
-            if steps >= cfg.fuel then Final (out_of_fuel steps)
-            else begin
-              let pvs = Expr.pred_vars p in
-              let test_taint = Taint_store.of_vars taints pvs in
-              match cfg.mode with
-              | Timed when not (ok (Iset.union test_taint pc)) ->
-                  (* Rule of Theorem 3': abort before the disallowed
-                     test. *)
-                  let taint = Iset.union test_taint pc in
-                  Emit.box cfg.emit ~step:steps ~node:st.st_node;
-                  Emit.condemn cfg.emit ~step:steps ~node:st.st_node
-                    ~at_decision:true ~taint ~srcs:pvs
-                    ~notice:(denial_text cfg ~taint);
-                  Final (denied cfg ~taint steps)
-              | High_water | Surveillance | Timed ->
-                  let pc = Iset.union pc test_taint in
-                  let taken, extra = Expr.eval_pred_cost cfg.cost env p in
-                  Emit.box cfg.emit ~step:steps ~node:st.st_node;
-                  Emit.pc cfg.emit ~step:steps ~node:st.st_node ~pc ~srcs:pvs;
-                  Step
-                    {
-                      st with
-                      st_node = (if taken then if_true else if_false);
-                      st_steps = steps + 1 + extra;
-                      st_pc = pc;
-                      st_frames = frames;
-                    }
-              | Scoped ->
-                  let frames =
-                    if m.m_ipd.(st.st_node) >= 0 then
-                      (pc, m.m_ipd.(st.st_node)) :: frames
-                    else frames
-                  in
-                  let pc = Iset.union pc test_taint in
-                  let taken, extra = Expr.eval_pred_cost cfg.cost env p in
-                  Emit.box cfg.emit ~step:steps ~node:st.st_node;
-                  Emit.pc cfg.emit ~step:steps ~node:st.st_node ~pc ~srcs:pvs;
-                  Step
-                    {
-                      st with
-                      st_node = (if taken then if_true else if_false);
-                      st_steps = steps + 1 + extra;
-                      st_pc = pc;
-                      st_frames = frames;
-                    }
-            end)
     | Graph.Halt -> (
-        match stricken () with
+        match stricken cfg taints steps with
         | Some r -> Final r
         | None ->
             let out_taint = Iset.union (Taint_store.get taints Var.Out) pc in
-            Emit.box cfg.emit ~step:steps ~node:st.st_node;
-            if ok out_taint then
+            Emit.box cfg.emit ~step:steps ~node;
+            if Iset.subset out_taint cfg.allowed then
               Final
                 (reply (Mechanism.Granted (Value.Int (Store.output st.st_store))) steps)
             else begin
-              Emit.condemn cfg.emit ~step:steps ~node:st.st_node
-                ~at_decision:false ~taint:out_taint ~srcs:out_src
+              Emit.condemn cfg.emit ~step:steps ~node ~at_decision:false
+                ~taint:out_taint ~srcs:out_src
                 ~notice:(denial_text cfg ~taint:out_taint);
               Final (denied cfg ~taint:out_taint steps)
             end)
     | Graph.Halt_violation n ->
-        Emit.box cfg.emit ~step:steps ~node:st.st_node;
-        Emit.condemn cfg.emit ~step:steps ~node:st.st_node ~at_decision:false
+        Emit.box cfg.emit ~step:steps ~node;
+        Emit.condemn cfg.emit ~step:steps ~node ~at_decision:false
           ~taint:Iset.empty ~srcs:Var.Set.empty ~notice:n;
         Final (reply (Mechanism.Denied n) steps)
   with Expr.Runtime_fault e ->
@@ -378,9 +390,10 @@ let run_to_end m st =
   let rec loop st = match step m st with Step st -> loop st | Final r -> r in
   loop st
 
-let run cfg g inputs =
-  let m = prepare cfg g in
+let fold m inputs =
   match start m inputs with Error r -> r | Ok st -> run_to_end m st
+
+let run cfg g inputs = fold (prepare cfg g) inputs
 
 (* --- serializable state images ------------------------------------------
 
@@ -488,72 +501,46 @@ let of_image g img =
           List.map (fun (pc, at) -> (Iset.of_mask pc, at)) img.im_frames;
       }
 
-(* Observer variant for the static-soundness cross-check: track taint with
-   Scoped semantics (pc restored at the immediate postdominator — the
-   dynamic counterpart of the static analysis's bounded decision regions)
-   but enforce nothing, and report the taint the halt-box check would see. *)
-let out_taint ?(fuel = Interp.default_fuel) g inputs =
+(* Observer variant for the static-soundness cross-check: the Scoped
+   machine (pc restored at the immediate postdominator — the dynamic
+   counterpart of the static analysis's bounded decision regions), stepped
+   up to its halt box, where it reports the taint the halt-box check would
+   see instead of enforcing it. *)
+let out_taint ?fuel g inputs =
   if Array.length inputs <> g.Graph.arity then
     Error
       (Printf.sprintf "Dynamic.out_taint %s: expected %d inputs, got %d"
          g.Graph.name g.Graph.arity (Array.length inputs))
   else
-    let max_reg = Graph.max_reg g in
-    match Store.of_values ~inputs ~max_reg with
-    | exception Invalid_argument m -> Error m
-    | store ->
-        let taints = Taint_store.create ~arity:g.Graph.arity ~max_reg in
-        let env = Store.lookup store in
-        let ipd = Graphalgo.immediate_postdominator g in
-        let frames : (Iset.t * int) list ref = ref [] in
-        let pc = ref Iset.empty in
-        let restore_at node =
-          let rec pop () =
-            match !frames with
-            | (saved, at) :: rest when at = node ->
-                pc := saved;
-                frames := rest;
-                pop ()
-            | _ -> ()
-          in
-          pop ()
-        in
-        let rec go node steps =
-          restore_at node;
-          match g.Graph.nodes.(node) with
-          | Graph.Start next -> go next steps
-          | Graph.Assign (v, e, next) ->
-              if steps >= fuel then Error "diverged"
-              else begin
-                let rhs_taint = Taint_store.of_vars taints (Expr.vars e) in
-                let value, extra = Expr.eval_cost Expr.Uniform env e in
-                Store.set store v value;
-                Taint_store.set taints v (Iset.union rhs_taint !pc);
-                go next (steps + 1 + extra)
-              end
-          | Graph.Decision (p, if_true, if_false) ->
-              if steps >= fuel then Error "diverged"
-              else begin
-                let test_taint = Taint_store.of_vars taints (Expr.pred_vars p) in
-                (if ipd.(node) >= 0 then frames := (!pc, ipd.(node)) :: !frames);
-                pc := Iset.union !pc test_taint;
-                let taken, extra = Expr.eval_pred_cost Expr.Uniform env p in
-                go (if taken then if_true else if_false) (steps + 1 + extra)
-              end
-          | Graph.Halt -> Ok (Iset.union (Taint_store.get taints Var.Out) !pc)
-          | Graph.Halt_violation n -> Error ("halted with violation notice " ^ n)
-        in
-        (try go g.Graph.entry 0
-         with Expr.Runtime_fault e -> Error (Expr.error_message e))
+    let m = prepare (config ?fuel ~mode:Scoped Policy.allow_none) g in
+    (* Without a hook the machine stops early only on the fuel watchdog or
+       a runtime fault of the program. *)
+    let error r =
+      match r.Mechanism.response with
+      | Mechanism.Failed msg -> Error msg
+      | Mechanism.Granted _ | Mechanism.Denied _ | Mechanism.Hung ->
+          Error "diverged"
+    in
+    let rec go st =
+      match g.Graph.nodes.(st.st_node) with
+      | Graph.Halt ->
+          let pc, _ = restore_frames st.st_node st.st_pc st.st_frames in
+          Ok (Iset.union (Taint_store.get st.st_taints Var.Out) pc)
+      | Graph.Halt_violation n -> Error ("halted with violation notice " ^ n)
+      | Graph.Start _ | Graph.Assign _ | Graph.Decision _ -> (
+          match step m st with Step st -> go st | Final r -> error r)
+    in
+    match start m inputs with Error r -> error r | Ok st -> go st
 
 (* --- residual monitoring -------------------------------------------------
 
-   [run_residual] executes a static watch plan ([Secpol_staticflow.Certifier.
-   residual_plan]): boxes marked unwatched skip their surveillance work.
-   The reply is bit-identical to [run]'s because verdicts depend only on
-   the DISALLOWED part of each checked taint set (with the single notice,
-   "taint within allowed" is "no disallowed bits"), and the plan guarantees
-   skipping preserves those parts exactly:
+   [run_residual] is [run] under a static watch plan
+   ([Secpol_staticflow.Certifier.residual_plan]): [step] skips the
+   surveillance work of the boxes it marks unwatched. The reply is
+   bit-identical to [run]'s because verdicts depend only on the DISALLOWED
+   part of each checked taint set (with the single notice, "taint within
+   allowed" is "no disallowed bits"), and the plan guarantees skipping
+   preserves those parts exactly:
 
    - an unwatched assignment writes the empty set in place of the join its
      static bound proves free of disallowed bits (or whose target can never
@@ -572,7 +559,7 @@ let out_taint ?(fuel = Interp.default_fuel) g inputs =
 
 type residual_stats = { watched_boxes : int; skipped_boxes : int }
 
-let rec run_residual cfg ~watch g inputs =
+let run_residual cfg ~watch g inputs =
   if cfg.chatty_notices then
     invalid_arg
       "Dynamic.run_residual: chatty notices quote taint values the residual \
@@ -583,166 +570,9 @@ let rec run_residual cfg ~watch g inputs =
          "Dynamic.run_residual %s: plan covers %d nodes, graph has %d"
          g.Graph.name (Array.length watch)
          (Array.length g.Graph.nodes));
-  let m = prepare cfg g in
-  let watched = ref 0 and skipped = ref 0 in
-  let commit node = incr (if watch.(node) then watched else skipped) in
-  let rec go st =
-    match residual_step m ~watch ~commit st with
-    | Step st -> go st
-    | Final r -> r
-  in
-  let reply =
-    match start m inputs with Error r -> r | Ok st -> go st
-  in
-  (reply, { watched_boxes = !watched; skipped_boxes = !skipped })
-
-and residual_step m ~watch ~commit st =
-  let cfg = m.m_cfg and g = m.m_graph in
-  let steps = st.st_steps in
-  let pc, frames =
-    if cfg.mode = Scoped then restore_frames st.st_node st.st_pc st.st_frames
-    else (st.st_pc, st.st_frames)
-  in
-  (match cfg.emit with
-  | Emit.Null -> ()
-  | Emit.Sink _ ->
-      if not (frames == st.st_frames) then
-        Emit.pc cfg.emit ~step:steps ~node:st.st_node ~pc ~srcs:Var.Set.empty);
-  let taints = st.st_taints in
-  let env = Store.lookup st.st_store in
-  let ok l = Iset.subset l cfg.allowed in
-  let stricken () =
-    let injected =
-      match cfg.hook ~step:steps with
-      | Some (Hook.Crash msg) ->
-          Some (reply (Mechanism.Failed (Interp.monitor_fault_prefix ^ msg)) steps)
-      | Some Hook.Starve -> Some (out_of_fuel steps)
-      | Some Hook.Corrupt ->
-          Taint_store.corrupt taints ~step:steps;
-          None
-      | None -> None
-    in
-    match injected with
-    | Some _ as r -> r
-    | None ->
-        if Taint_store.consistent taints then None
-        else Some (reply (Mechanism.Failed corruption_fault) steps)
-  in
-  try
-    match g.Graph.nodes.(st.st_node) with
-    | Graph.Start next ->
-        Step { st with st_node = next; st_pc = pc; st_frames = frames }
-    | Graph.Assign (v, e, next) -> (
-        match stricken () with
-        | Some r -> Final r
-        | None ->
-            if steps >= cfg.fuel then Final (out_of_fuel steps)
-            else begin
-              commit st.st_node;
-              let taint =
-                if watch.(st.st_node) then begin
-                  let vs = Expr.vars e in
-                  let rhs_taint = Taint_store.of_vars taints vs in
-                  let base = Iset.union rhs_taint pc in
-                  match cfg.mode with
-                  | High_water -> Iset.union (Taint_store.get taints v) base
-                  | Surveillance | Scoped | Timed -> base
-                end
-                else Iset.empty
-              in
-              let value, extra = Expr.eval_cost cfg.cost env e in
-              Store.set st.st_store v value;
-              Taint_store.set taints v taint;
-              Emit.box cfg.emit ~step:steps ~node:st.st_node;
-              if watch.(st.st_node) then
-                Emit.taint cfg.emit ~step:steps ~node:st.st_node ~var:v ~taint
-                  ~srcs:(Expr.vars e);
-              Step
-                {
-                  st with
-                  st_node = next;
-                  st_steps = steps + 1 + extra;
-                  st_pc = pc;
-                  st_frames = frames;
-                }
-            end)
-    | Graph.Decision (p, if_true, if_false) -> (
-        match stricken () with
-        | Some r -> Final r
-        | None ->
-            if steps >= cfg.fuel then Final (out_of_fuel steps)
-            else begin
-              commit st.st_node;
-              (* Scoped frames are pushed watched or not: an inner watched
-                 decision must pop the same saved contexts either way. *)
-              let frames =
-                if cfg.mode = Scoped && m.m_ipd.(st.st_node) >= 0 then
-                  (pc, m.m_ipd.(st.st_node)) :: frames
-                else frames
-              in
-              if watch.(st.st_node) then begin
-                let pvs = Expr.pred_vars p in
-                let test_taint = Taint_store.of_vars taints pvs in
-                match cfg.mode with
-                | Timed when not (ok (Iset.union test_taint pc)) ->
-                    let taint = Iset.union test_taint pc in
-                    Emit.box cfg.emit ~step:steps ~node:st.st_node;
-                    Emit.condemn cfg.emit ~step:steps ~node:st.st_node
-                      ~at_decision:true ~taint ~srcs:pvs
-                      ~notice:(denial_text cfg ~taint);
-                    Final (denied cfg ~taint steps)
-                | High_water | Surveillance | Scoped | Timed ->
-                    let pc = Iset.union pc test_taint in
-                    let taken, extra = Expr.eval_pred_cost cfg.cost env p in
-                    Emit.box cfg.emit ~step:steps ~node:st.st_node;
-                    Emit.pc cfg.emit ~step:steps ~node:st.st_node ~pc ~srcs:pvs;
-                    Step
-                      {
-                        st with
-                        st_node = (if taken then if_true else if_false);
-                        st_steps = steps + 1 + extra;
-                        st_pc = pc;
-                        st_frames = frames;
-                      }
-              end
-              else begin
-                (* The plan proved this test adds only allowed bits, so the
-                   timed check cannot fire and C-bar's disallowed part is
-                   unchanged. *)
-                let taken, extra = Expr.eval_pred_cost cfg.cost env p in
-                Emit.box cfg.emit ~step:steps ~node:st.st_node;
-                Step
-                  {
-                    st with
-                    st_node = (if taken then if_true else if_false);
-                    st_steps = steps + 1 + extra;
-                    st_pc = pc;
-                    st_frames = frames;
-                  }
-              end
-            end)
-    | Graph.Halt -> (
-        match stricken () with
-        | Some r -> Final r
-        | None ->
-            let out_taint = Iset.union (Taint_store.get taints Var.Out) pc in
-            Emit.box cfg.emit ~step:steps ~node:st.st_node;
-            if ok out_taint then
-              Final
-                (reply (Mechanism.Granted (Value.Int (Store.output st.st_store))) steps)
-            else begin
-              Emit.condemn cfg.emit ~step:steps ~node:st.st_node
-                ~at_decision:false ~taint:out_taint ~srcs:out_src
-                ~notice:(denial_text cfg ~taint:out_taint);
-              Final (denied cfg ~taint:out_taint steps)
-            end)
-    | Graph.Halt_violation n ->
-        Emit.box cfg.emit ~step:steps ~node:st.st_node;
-        Emit.condemn cfg.emit ~step:steps ~node:st.st_node ~at_decision:false
-          ~taint:Iset.empty ~srcs:Var.Set.empty ~notice:n;
-        Final (reply (Mechanism.Denied n) steps)
-  with Expr.Runtime_fault e ->
-    Final (reply (Mechanism.Failed (Expr.error_message e)) steps)
+  let plan = { watch; watched = 0; skipped = 0 } in
+  let reply = fold { (prepare cfg g) with m_plan = Some plan } inputs in
+  (reply, { watched_boxes = plan.watched; skipped_boxes = plan.skipped })
 
 let mechanism cfg g =
   Mechanism.make

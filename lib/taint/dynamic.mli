@@ -30,7 +30,15 @@
       {e deliberately included although unsound in general}: whether it
       emits a violation can itself depend on the tested secret (the paper's
       "negative inference"). The experiment suite exhibits the
-      counterexample; see EXPERIMENTS.md. *)
+      counterexample; see EXPERIMENTS.md.
+
+    One function walks the flowchart for all of them: {!step}, which
+    commits one box under a watch plan naming the boxes that do
+    surveillance work. The full monitor ({!run}, {!mechanism}, and the
+    journaled runs of [Secpol_journal]) watches every box; the residual
+    monitor ({!run_residual}) watches the boxes a static plan kept; the
+    observer ({!out_taint}) is the [Scoped] machine stopped at its halt box.
+    A per-step check or optimisation is therefore written once. *)
 
 module Graph = Secpol_flowgraph.Graph
 
@@ -116,18 +124,20 @@ val run_residual :
   Secpol_core.Value.t array ->
   Secpol_core.Mechanism.reply * residual_stats
 (** One monitored execution under a static watch plan
-    ({!Secpol_staticflow.Certifier.residual_plan}): boxes with
-    [watch.(node) = false] skip their surveillance work — an unwatched
-    assignment records the empty taint (both redundant copies), an
-    unwatched decision leaves the control-context taint untouched and
-    performs no timed check. Because the plan only releases boxes whose
-    taint contribution provably has no disallowed part (or feeds no check),
-    the reply is {e bit-identical} to {!run}'s on every input: same
-    response, same notice, same step count. Fuel, fault hooks, the
-    redundant-store consistency check and halt-box checks run unchanged;
-    scoped-mode restore frames are pushed at every decision, watched or
-    not. Trace events still fire but carry residual taint values, so
-    provenance from a residual run is partial by design.
+    ({!Secpol_staticflow.Certifier.residual_plan}): the same fold of
+    {!step} as {!run}, but boxes with [watch.(node) = false] skip their
+    surveillance work — an unwatched assignment records the empty taint
+    (both redundant copies) and emits no taint event, an unwatched decision
+    leaves the control-context taint untouched and performs no timed
+    check. Because the plan only releases boxes whose taint contribution
+    provably has no disallowed part (or feeds no check), the reply is
+    {e bit-identical} to {!run}'s on every input: same response, same
+    notice, same step count. Fuel, fault hooks, the redundant-store
+    consistency check and halt-box checks run unchanged; scoped-mode
+    restore frames are pushed at every decision, watched or not. Trace
+    events still fire but carry residual taint values, so provenance from a
+    residual run is partial by design. Residual runs are not journaled: a
+    journal resumes into the full monitor.
 
     @raise Invalid_argument if [cfg.chatty_notices] is set (chatty notices
     quote taint values the residual monitor does not maintain) or if the
@@ -135,12 +145,14 @@ val run_residual :
 
 (** {2 The step machine}
 
-    [run] folded open: a prepared {!machine} (configuration plus the
-    per-graph analyses), an explicit {!state} carried between boxes, and a
-    {!step} function that commits exactly one assignment, decision or halt
-    box — one hook consultation, one fuel check. [run] is definitionally
-    [start] followed by {!run_to_end}, and is bit-identical to the
-    historical recursive interpreter.
+    [run] folded open: a prepared {!machine} (configuration, watch plan and
+    the per-graph analyses), an explicit {!state} carried between boxes,
+    and a {!step} function that commits exactly one assignment, decision or
+    halt box — one hook consultation, one fuel check. [run] is
+    definitionally [start] followed by {!run_to_end}, and is bit-identical
+    to the historical recursive interpreter. {!step} is the module's only
+    graph walker: {!run_residual} and {!out_taint} fold it too, over a
+    residual watch plan and up to the halt box respectively.
 
     The machine exists for durability: between steps the whole monitored
     run is a first-class value. {!image} flattens it to integers (taint
@@ -157,11 +169,8 @@ type step_result = Step of state | Final of Secpol_core.Mechanism.reply
 
 val prepare : config -> Graph.t -> machine
 (** Fix the per-graph analyses (immediate postdominators for [Scoped]
-    mode); pure in the graph, reusable across runs. *)
-
-val machine_config : machine -> config
-
-val machine_graph : machine -> Graph.t
+    mode) under the all-watched plan, the full monitor; pure in the graph,
+    reusable across runs. *)
 
 val start :
   machine -> Secpol_core.Value.t array -> (state, Secpol_core.Mechanism.reply) result
@@ -181,9 +190,6 @@ val run_to_end : machine -> state -> Secpol_core.Mechanism.reply
 
 val steps_of : state -> int
 (** The step counter (fuel consumed so far). *)
-
-val node_of : state -> int
-(** The node about to execute. *)
 
 (** A flat integer-only copy of a {!state}: variable store, both copies of
     the redundant taint store (masks), program-counter taint, scoped-mode
@@ -238,12 +244,14 @@ val out_taint :
   Graph.t ->
   Secpol_core.Value.t array ->
   (Secpol_core.Iset.t, string) result
-(** Observer, not enforcer: run once on [inputs] tracking taint with
-    [Scoped] semantics (the program-counter taint is restored at each
-    decision's immediate postdominator — the run-time counterpart of the
-    static analysis's bounded decision regions) and return the taint the
-    halt box would check, enforcing nothing. [Error] on divergence, fault,
-    or a [Halt_violation] box.
+(** Observer, not enforcer: step the [Scoped] machine on [inputs] (the
+    program-counter taint is restored at each decision's immediate
+    postdominator — the run-time counterpart of the static analysis's
+    bounded decision regions) up to its halt box, and return the taint that
+    box would check, v̄(Out) ∪ C̄, enforcing nothing. The [Scoped] monitor
+    under [allow(J)] therefore grants exactly when the result is within
+    [J]. [Error] on a wrong-arity or non-integer input vector, divergence
+    (the [fuel] watchdog), a runtime fault, or a [Halt_violation] box.
 
     The static analysis ranges over {e all} paths through each region while
     a run takes one, so for every terminating run the static out-taint of

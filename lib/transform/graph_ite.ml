@@ -1,5 +1,6 @@
 module Var = Secpol_flowgraph.Var
 module Expr = Secpol_flowgraph.Expr
+module Ast = Secpol_flowgraph.Ast
 module Graph = Secpol_flowgraph.Graph
 module Graphalgo = Secpol_flowgraph.Graphalgo
 
@@ -32,28 +33,19 @@ let diamonds g =
     (fun d -> diamond g preds ipd d <> None)
     (List.init (Graph.node_count g) Fun.id)
 
-(* Sequential composition of a chain as a substitution over the pre-state. *)
-let effect chain =
-  List.fold_left
-    (fun sigma (v, e) -> Var.Map.add v (Expr.subst sigma e) sigma)
-    Var.Map.empty chain
-
 let rewrite_one ~simp g (d, (p, ct, cf, j)) =
-  let st = effect ct and sf = effect cf in
-  let get s v = match Var.Map.find_opt v s with Some e -> e | None -> Expr.Var v in
-  let assigned =
-    Var.Map.fold (fun v _ acc -> Var.Set.add v acc) st Var.Set.empty
-    |> Var.Map.fold (fun v _ acc -> Var.Set.add v acc) sf
-  in
+  (* The diamond as a structured branch: its symbolic effect is one select
+     per variable either chain assigns. *)
+  let chain c = Ast.Seq (List.map (fun (v, e) -> Ast.Assign (v, e)) c) in
+  let effect = Transforms.symbolic_effect (Ast.If (p, chain ct, chain cf)) in
   let fresh = ref (Graph.max_reg g + 1) in
   let selects =
-    Var.Set.fold
-      (fun v acc ->
+    Var.Map.fold
+      (fun v e acc ->
         let t = Var.Reg !fresh in
         incr fresh;
-        let e = Expr.Cond (p, get st v, get sf v) in
         (v, t, if simp then Expr.simplify e else e) :: acc)
-      assigned []
+      effect []
   in
   (* d becomes the head of: t_i := select_i ... ; v_i := t_i ... ; -> j.
      New nodes are appended; d's own slot holds the first instruction. *)

@@ -21,7 +21,8 @@ val rewrite : ?simplify:bool -> Secpol_flowgraph.Graph.t -> Secpol_flowgraph.Gra
     the synthesized selects, letting equal-armed diamonds (Example 7's
     shape) shed the test's taint entirely.
     @raise Invalid_argument if the graph contains violation halts (rewrite
-    programs, not mechanisms). *)
+    programs, not mechanisms), or if a select exceeds the node budget of
+    {!Transforms.symbolic_effect}, which builds them. *)
 
 val diamonds : Secpol_flowgraph.Graph.t -> int list
 (** Indices of currently rewritable decision boxes (one fixpoint step's

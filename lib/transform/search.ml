@@ -67,16 +67,20 @@ let search ?(max_depth = 2) ?(while_bound = 4) ~policy ~space prog =
         []
     | Ok () ->
         let g = Compile.compile p' in
+        let surveil g =
+          Dynamic.mechanism (Dynamic.config ~mode:Dynamic.Surveillance policy) g
+        in
+        let gite =
+          match Graph_ite.rewrite g with
+          | g' -> [ (label ^ "+gite+surv", surveil g') ]
+          | exception Invalid_argument why ->
+              discarded := (label ^ "+gite+surv", why) :: !discarded;
+              []
+        in
         let attempts =
-          [
-            (label ^ "+surv", Dynamic.mechanism (Dynamic.config ~mode:Dynamic.Surveillance policy) g);
-            ( label ^ "+guard",
-              Halt_guard.mechanism ~policy (Transforms.split_halts g) );
-            ( label ^ "+gite+surv",
-              Dynamic.mechanism
-                  (Dynamic.config ~mode:Dynamic.Surveillance policy)
-                  (Graph_ite.rewrite g) );
-          ]
+          (label ^ "+surv", surveil g)
+          :: (label ^ "+guard", Halt_guard.mechanism ~policy (Transforms.split_halts g))
+          :: gite
         in
         List.filter_map
           (fun (label, m) ->

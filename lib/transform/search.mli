@@ -37,7 +37,8 @@ type report = {
   maximal_ratio : float;  (** the Theorem-2 yardstick, for the gap *)
   discarded : (string * string) list;
       (** transform sequences dropped, with the reason (inequivalent on
-          the space, or measured unsound) *)
+          the space, measured unsound, or a flowchart rewrite refused by
+          the transforms' node budget) *)
 }
 
 val search :

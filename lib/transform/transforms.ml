@@ -7,13 +7,54 @@ module Ast = Secpol_flowgraph.Ast
 module Graph = Secpol_flowgraph.Graph
 module Interp = Secpol_flowgraph.Interp
 
-(* Symbolic effect of a loop-free statement: for each assigned variable, the
-   expression (over the pre-state) it ends up holding. Control joins become
-   branchless selects. *)
+(* Node budget for symbolic effects. Forward substitution across unrolled
+   loop copies and nested selects grows expression trees geometrically, and
+   every later walk (simplify, compile, structural comparison) pays the
+   unfolded size, so an effect past the budget is refused instead. *)
+let max_nodes = 20_000
+
+(* [e] itself, once its unfolded node count is known to be within the
+   budget; the walk stops as soon as the budget is spent. *)
+let bounded e =
+  let left = ref max_nodes in
+  let spend () =
+    decr left;
+    if !left < 0 then
+      invalid_arg
+        (Printf.sprintf "symbolic_effect: expression exceeds %d nodes" max_nodes)
+  in
+  let rec expr e =
+    spend ();
+    match e with
+    | Expr.Const _ | Expr.Var _ -> ()
+    | Expr.Neg a | Expr.Bnot a -> expr a
+    | Expr.Add (a, b) | Expr.Sub (a, b) | Expr.Mul (a, b) | Expr.Div (a, b)
+    | Expr.Mod (a, b) | Expr.Bor (a, b) | Expr.Band (a, b) ->
+        expr a;
+        expr b
+    | Expr.Cond (p, a, b) ->
+        pred p;
+        expr a;
+        expr b
+  and pred p =
+    spend ();
+    match p with
+    | Expr.True | Expr.False -> ()
+    | Expr.Cmp (_, a, b) ->
+        expr a;
+        expr b
+    | Expr.And (p, q) | Expr.Or (p, q) ->
+        pred p;
+        pred q
+    | Expr.Not p -> pred p
+  in
+  expr e;
+  e
+
 let symbolic_effect stmt =
   let rec eff sigma = function
     | Ast.Skip -> sigma
-    | Ast.Assign (v, e) -> Var.Map.add v (Expr.subst sigma e) sigma
+    | Ast.Assign (v, e) -> Var.Map.add v (bounded (Expr.subst sigma e)) sigma
     | Ast.Seq l -> List.fold_left eff sigma l
     | Ast.If (p, a, b) ->
         let p' = Expr.subst_pred sigma p in
@@ -26,7 +67,8 @@ let symbolic_effect stmt =
           |> Var.Map.fold (fun v _ acc -> Var.Set.add v acc) sb
         in
         Var.Set.fold
-          (fun v acc -> Var.Map.add v (Expr.Cond (p', get sa v, get sb v)) acc)
+          (fun v acc ->
+            Var.Map.add v (bounded (Expr.Cond (p', get sa v, get sb v))) acc)
           dom sigma
     | Ast.While _ -> invalid_arg "symbolic_effect: loop"
     | Ast.At (_, s) -> eff sigma s

@@ -32,10 +32,23 @@
 module Ast = Secpol_flowgraph.Ast
 module Graph = Secpol_flowgraph.Graph
 
+val symbolic_effect :
+  Ast.t -> Secpol_flowgraph.Expr.t Secpol_flowgraph.Var.Map.t
+(** The symbolic effect of a loop-free statement: for each variable it
+    assigns, the expression over the pre-state that it ends up holding.
+    Control joins become branchless selects. {!ite}, {!predicate_loops} and
+    {!Graph_ite.rewrite} all build their straight-line code from it.
+    @raise Invalid_argument on a loop, or when an expression's unfolded
+    tree exceeds 20,000 nodes. Forward substitution grows geometrically
+    across unrolled loop copies and nested selects, so the transform is
+    refused rather than left to exhaust memory. *)
+
 val ite : ?simplify:bool -> Ast.prog -> Ast.prog
 (** Apply the if-then-else transform to every [If] whose branches are
     loop-free (innermost first). [simplify] (default [true]) folds constants
-    and collapses equal-armed selects afterwards. *)
+    and collapses equal-armed selects afterwards.
+    @raise Invalid_argument if a branch's effect exceeds the node budget
+    of {!symbolic_effect}. *)
 
 val predicate_loops : ?residual:bool -> bound:int -> Ast.prog -> Ast.prog
 (** Apply the while transform: replace every [While] (innermost first,
@@ -51,7 +64,8 @@ val predicate_loops : ?residual:bool -> bound:int -> Ast.prog -> Ast.prog
     {!equivalent_on}) that [bound] covers every iteration count the input
     space can produce; the result is then branch-free straight-line code
     and surveillance sees no control dependence on the test at all.
-    @raise Invalid_argument if [bound < 0]. *)
+    @raise Invalid_argument if [bound < 0], or if a loop body's effect
+    exceeds the node budget of {!symbolic_effect}. *)
 
 val sink_into_branches : Ast.prog -> Ast.prog
 (** Duplicate statements following each [If] into both of its arms, making

@@ -62,6 +62,34 @@ let test_filter_policy_rejected () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "filter policies must be rejected"
 
+(* A generated program (QCheck seed 952065165, the 17th drawn) on which
+   the transform search used to exhaust memory: unrolling its nested loops
+   and then collapsing the branch grew the symbolic effects geometrically.
+   The node budget refuses those variants, so planning is quick. *)
+let test_transform_budget () =
+  let prog =
+    Secpol_lang.Source.parse_exn
+      {|program nested_unroll(x0, x1)
+  if 2 = x0 then
+    r2 := (x1 & 3);
+    while r2 > 0 do
+      r3 := (x0 & 3);
+      while r3 > 0 do x0 := (2 - r0); r3 := (r3 - 1) done;
+      r2 := (r2 - 1)
+    done
+  else y := r0; y := (x1 | (r0 * r1)) end|}
+  in
+  let space = Generator.space_for Generator.default in
+  let t0 = Sys.time () in
+  let routes =
+    List.map
+      (fun policy -> Release.route_name (Release.plan ~policy ~space prog).Release.route)
+      [ Policy.allow_none; Policy.allow [ 0 ]; Policy.allow [ 1 ] ]
+  in
+  let elapsed = Sys.time () -. t0 in
+  Alcotest.(check (list string)) "routes" [ "refuse"; "guarded"; "monitored" ] routes;
+  if elapsed >= 2.0 then Alcotest.failf "planning took %.2f s of CPU (limit 2 s)" elapsed
+
 (* Whatever route the planner picks on random programs, the result is a
    sound protection mechanism bounded by the maximal yardstick. *)
 let prop_plan_always_sound =
@@ -92,6 +120,7 @@ let () =
           Alcotest.test_case "search-wins" `Quick test_monitored_beats_plain_surveillance;
           Alcotest.test_case "notes" `Quick test_notes_present;
           Alcotest.test_case "filter-rejected" `Quick test_filter_policy_rejected;
+          Alcotest.test_case "transform-budget" `Quick test_transform_budget;
         ] );
       ("property", [ prop_plan_always_sound ]);
     ]

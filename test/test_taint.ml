@@ -394,6 +394,57 @@ let test_cost_model_agrees_between_interpreters () =
         [ 0; 3; 7 ])
     [ Secpol_flowgraph.Expr.Uniform; Secpol_flowgraph.Expr.Operand_sized ]
 
+(* --- The observer agrees with the enforcer ------------------------------ *)
+
+(* [Dynamic.out_taint] reports the taint the Scoped monitor's halt box
+   checks. So wherever it answers [Ok t], the Scoped monitor under
+   allow(J) grants exactly when [t ⊆ J], and an [Error] never pairs with a
+   grant. (test_lint's static ⊇ dynamic inclusion alone would also pass an
+   observer that always answered ∅.) The result is the first input and
+   policy at which the two disagree, if any. *)
+let observer_disagreement g space =
+  let inputs = List.of_seq (Space.enumerate space) in
+  List.find_map
+    (fun allowed ->
+      let cfg = Dynamic.config ~mode:Dynamic.Scoped (Policy.allow_set allowed) in
+      List.find_map
+        (fun a ->
+          let granted =
+            match (Dynamic.run cfg g a).Mechanism.response with
+            | Mechanism.Granted _ -> true
+            | Mechanism.Denied _ | Mechanism.Hung | Mechanism.Failed _ -> false
+          in
+          let agrees =
+            match Dynamic.out_taint g a with
+            | Ok t -> granted = Iset.subset t allowed
+            | Error _ -> not granted
+          in
+          if agrees then None
+          else
+            Some
+              (Printf.sprintf "allow%s on %s" (Iset.to_string allowed)
+                 (Harness.show_input a)))
+        inputs)
+    (List.init (1 lsl g.Graph.arity) Iset.of_mask)
+
+let test_observer_agrees_corpus () =
+  List.iter
+    (fun (e : Paper.entry) ->
+      match observer_disagreement (Paper.graph e) e.Paper.space with
+      | None -> ()
+      | Some where ->
+          Alcotest.failf "%s: out_taint disagrees with the scoped monitor at %s"
+            e.Paper.name where)
+    Paper.all
+
+let prop_observer_agrees =
+  let params = Generator.default in
+  qtest ~count:200 "out_taint agrees with the scoped monitor"
+    (Generator.arbitrary params)
+    (fun prog ->
+      observer_disagreement (Compile.compile prog) (Generator.space_for params)
+      = None)
+
 let test_non_allow_policy_rejected () =
   let g = Paper.graph Paper.forgetting in
   let f = Policy.filter ~name:"custom" (fun _ -> Value.unit) in
@@ -433,6 +484,11 @@ let () =
         ] );
       ( "notices",
         [ Alcotest.test_case "chatty-notices-leak" `Quick test_chatty_notices_leak ] );
+      ( "observer",
+        [
+          Alcotest.test_case "agrees-on-corpus" `Quick test_observer_agrees_corpus;
+          prop_observer_agrees;
+        ] );
       ( "cost-model",
         [
           Alcotest.test_case "breaks-timed" `Quick test_cost_model_breaks_timed_soundness;
