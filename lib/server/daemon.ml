@@ -206,8 +206,11 @@ let serve ?config ?(sink = Sink.null) ?metrics ?store ?(poll = 0.05)
          | Some fd -> fd :: Hashtbl.fold (fun fd _ acc -> fd :: acc) http_conns fds
          | None -> fds
        in
+       (* With admitted work still queued (past one step's exec budget),
+          only poll for bytes: the queue is what needs the loop. *)
+       let timeout = if Engine.queue_length engine > 0 then 0. else poll in
        let readable, _, _ =
-         try Unix.select fds [] [] poll
+         try Unix.select fds [] [] timeout
          with Unix.Unix_error (Unix.EINTR, _, _) -> ([], [], [])
        in
        List.iter

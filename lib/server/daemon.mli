@@ -37,7 +37,9 @@ val serve :
 (** Bind, listen, serve until drained. [store] defaults to a fresh
     memory store; give {!Store.dir} to survive restarts. [poll] is the
     select timeout (the engine steps at least this often even when idle,
-    so deadlines and slowloris stalls fire without traffic). [signals]
+    so deadlines and slowloris stalls fire without traffic); while
+    admitted requests are still queued the select only polls (timeout
+    0), so queued work never waits on the client's next bytes. [signals]
     installs SIGTERM/SIGINT drain handlers (and ignores SIGPIPE);
     restores the old handlers on exit. [ready] is called once with the
     {e bound} address — for [Tcp (host, 0)] it carries the kernel-chosen

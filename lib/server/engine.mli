@@ -131,8 +131,6 @@ val drained : t -> bool
 
 val queue_length : t -> int
 
-val session_names : t -> string list
-
 val kill_next : t -> at_box:int -> unit
 (** Script the next executed request to die mid-run: a journaled run is
     killed after [at_box] journaled boxes ({!Secpol_journal.Runner.run}'s

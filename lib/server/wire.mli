@@ -80,6 +80,13 @@ val decode_response : string -> (response, Codec.decode_error) result
 val request_name : request -> string
 val response_name : response -> string
 
+val max_payload : int
+(** The largest payload a frame may declare: 16 MiB, far above any
+    message the service sends, [Stats_reply] bodies included. The length
+    field arrives from the network, so {!Stream.next} refuses a header
+    declaring more as soon as the header is in, instead of buffering
+    whatever the peer sends until the frame deadline. *)
+
 (** Incremental frame assembly for one connection. *)
 module Stream : sig
   type t
@@ -93,8 +100,9 @@ module Stream : sig
   val next : t -> [ `Frame of string | `Await | `Corrupt of Codec.decode_error ]
   (** Pop the next complete frame's payload. [`Await]: the buffer holds a
       (possibly empty) strict prefix of a frame. [`Corrupt]: the bytes can
-      never become a frame (bad magic, checksum failure) — close the
-      connection. *)
+      never become a frame (bad magic, a declared length over
+      {!max_payload}, checksum failure) — close the connection. Costs one
+      copy of the payload; the bytes queued behind it are not touched. *)
 
   val stalled_since : t -> float option
   (** [Some t0] while undecoded bytes are pending: the arrival time of the
