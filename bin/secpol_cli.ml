@@ -257,26 +257,34 @@ let snapshot_every_arg =
     & opt int Runner.default_snapshot_every
     & info [ "snapshot-every" ] ~docv:"N" ~doc)
 
-(* One journaled monitored run, shared by `run --journal` and `enforce
-   --journal`. Prints the reply and returns the exit code. *)
-let journaled_run ~dir ~kill_at ~snapshot_every ~sink ~program_ref ~show_reply
-    cfg g a =
-  if snapshot_every < 1 then begin
+(* A sharded or journaled monitored run, shared by `run` and `enforce`:
+   [cfg], journaled into [dir] when given, with the --kill-at fault
+   scripted into the journal. Prints the reply, or how to resume a killed
+   run, and returns the exit code. *)
+let durable_run ~dir ~kill_at ~snapshot_every ~program_ref ~show_reply cfg g a =
+  if cfg.Run.shards > 1 && kill_at <> None then begin
+    prerr_endline
+      "--kill-at applies to journaled single-enforcer runs; with --shards, \
+       kills are exercised by `secpol chaos --dist`";
+    exit 2
+  end;
+  if dir <> None && snapshot_every < 1 then begin
     prerr_endline "--snapshot-every must be at least 1";
     exit 2
   end;
-  let media = Media.dir dir in
-  let outcome =
-    Runner.run ?kill_at ~snapshot_every ~sink ~media ~program_ref cfg g a
+  let journal =
+    Option.map
+      (fun d -> { (Run.journal_dir ~snapshot_every ~program_ref d) with Run.kill_at })
+      dir
   in
-  Media.close media;
-  match outcome with
-  | Runner.Killed { at_box; _ } ->
-      Printf.printf "killed after %d journaled box(es); recover with: secpol resume %s\n"
-        at_box dir;
-      0
-  | Runner.Completed r ->
+  match Run.run { cfg with Run.journal } g a with
+  | r ->
       show_reply r;
+      0
+  | exception Run.Killed at_box ->
+      (* Only a journaled run can be killed. *)
+      Printf.printf "killed after %d journaled box(es); recover with: secpol resume %s\n"
+        at_box (Option.get dir);
       0
 
 (* The interpreters are total, but Mechanism.respond still treats a
@@ -337,79 +345,45 @@ let run_cmd =
     let e = entry_of_name name in
     let a = parse_inputs inputs in
     check_arity e a;
+    let g = Paper.graph e in
     let code =
       with_sink trace trace_format (fun sink ->
-          if shards > 1 then begin
-            (* Sharding needs the step machine and an allow(J) policy, so
-               the run goes through the monitored interpreter under
-               allow(everything) — same outputs, distributed for real. *)
-            if kill_at <> None then begin
-              prerr_endline
-                "--kill-at applies to journaled single-enforcer runs; with \
-                 --shards, kills are exercised by `secpol chaos --dist`";
-              exit 2
-            end;
-            let g = Paper.graph e in
-            let p = Policy.allow_all ~arity:e.Paper.prog.Ast.arity in
-            let journal =
-              Option.map
-                (fun dir ->
-                  Run.journal_dir ~snapshot_every ~program_ref:name dir)
-                journal
-            in
-            let r =
-              Run.run (Run.config ~policy:p ~shards ?journal ~trace:sink ()) g a
-            in
+          if shards = 1 && journal = None then begin
+            (* A policy-less Run config is the plain graph interpreter:
+               raw Q, never monitored, never cached. *)
+            Sink.emit sink
+              (Event.run_header ~program:e.Paper.name ~arity:g.Graph.arity
+                 ~mode:"unmonitored" ~allowed:Iset.empty ~inputs:a);
+            let r = Run.run (Run.config ~trace:sink ()) g a in
+            Sink.emit sink (Event.of_reply r);
             (match r.Mechanism.response with
             | Mechanism.Granted v -> Format.printf "output: %a@." Value.pp v
-            | Mechanism.Denied n when n = Dynamic.fuel_notice ->
-                print_endline "output: <diverged>"
-            | Mechanism.Denied n -> Printf.printf "violation notice: %s\n" n
             | Mechanism.Hung -> print_endline "output: <diverged>"
+            | Mechanism.Denied n -> Printf.printf "violation notice: %s\n" n
             | Mechanism.Failed m -> Printf.printf "output: <fault: %s>\n" m);
             Printf.printf "steps:  %d\n" r.Mechanism.steps;
             0
           end
           else
-          match journal with
-          | None ->
-              (* A policy-less Run config is the plain graph interpreter:
-                 raw Q, never monitored, never cached. *)
-              let g = Paper.graph e in
-              Sink.emit sink
-                (Event.run_header ~program:e.Paper.name ~arity:g.Graph.arity
-                   ~mode:"unmonitored" ~allowed:Iset.empty ~inputs:a);
-              let r = Run.run (Run.config ~trace:sink ()) g a in
-              Sink.emit sink (Event.of_reply r);
+            (* Sharding and journaling need the step machine, so the run
+               goes through the monitored interpreter under
+               allow(everything) — same outputs, distributed or durable
+               for real. *)
+            let p = Policy.allow_all ~arity:e.Paper.prog.Ast.arity in
+            let show_reply (r : Mechanism.reply) =
               (match r.Mechanism.response with
               | Mechanism.Granted v -> Format.printf "output: %a@." Value.pp v
-              | Mechanism.Hung -> print_endline "output: <diverged>"
+              | Mechanism.Denied n when n = Dynamic.fuel_notice ->
+                  print_endline "output: <diverged>"
               | Mechanism.Denied n -> Printf.printf "violation notice: %s\n" n
+              | Mechanism.Hung -> print_endline "output: <diverged>"
               | Mechanism.Failed m -> Printf.printf "output: <fault: %s>\n" m);
-              Printf.printf "steps:  %d\n" r.Mechanism.steps;
-              0
-          | Some dir ->
-              (* Journaling needs the step machine, so the run goes through
-                 the monitored interpreter under allow(everything) — same
-                 outputs, plus durability. *)
-              let g = Paper.graph e in
-              let p = Policy.allow_all ~arity:e.Paper.prog.Ast.arity in
-              let cfg =
-                Dynamic.config ~mode:Dynamic.Surveillance
-                  ~emit:(Sink.emitter ~graph:g sink) p
-              in
-              let show_reply (r : Mechanism.reply) =
-                (match r.Mechanism.response with
-                | Mechanism.Granted v -> Format.printf "output: %a@." Value.pp v
-                | Mechanism.Denied n when n = Dynamic.fuel_notice ->
-                    print_endline "output: <diverged>"
-                | Mechanism.Denied n -> Printf.printf "violation notice: %s\n" n
-                | Mechanism.Hung -> print_endline "output: <diverged>"
-                | Mechanism.Failed m -> Printf.printf "output: <fault: %s>\n" m);
-                Printf.printf "steps:  %d\n" r.Mechanism.steps
-              in
-              journaled_run ~dir ~kill_at ~snapshot_every ~sink
-                ~program_ref:name ~show_reply cfg g a)
+              Printf.printf "steps:  %d\n" r.Mechanism.steps
+            in
+            durable_run ~dir:journal ~kill_at ~snapshot_every ~program_ref:name
+              ~show_reply
+              (Run.config ~policy:p ~shards ~trace:sink ())
+              g a)
     in
     exit code
   in
@@ -444,55 +418,31 @@ let enforce_cmd =
     let g = Paper.graph e in
     let code =
       with_sink trace trace_format (fun sink ->
-          if shards > 1 then begin
-            if Policy.allowed_indices p = None then begin
-              prerr_endline "distributed enforcement needs an allow(...) policy";
-              exit 2
-            end;
-            if kill_at <> None then begin
-              prerr_endline
-                "--kill-at applies to journaled single-enforcer runs; with \
-                 --shards, kills are exercised by `secpol chaos --dist`";
-              exit 2
-            end;
-            let journal =
-              Option.map
-                (fun dir ->
-                  Run.journal_dir ~snapshot_every ~program_ref:name dir)
-                journal
-            in
-            let r =
-              Run.run
-                (Run.config ~policy:p ~mode ~shards ?journal ~trace:sink ())
-                g a
-            in
+          if shards = 1 && journal = None then begin
+            Sink.emit sink
+              (Event.run_header ~program:e.Paper.name ~arity:g.Graph.arity
+                 ~mode:(Dynamic.mode_name mode)
+                 ~allowed:
+                   (Option.value (Policy.allowed_indices p) ~default:Iset.empty)
+                 ~inputs:a);
+            let r = Run.run (Run.config ~policy:p ~mode ~trace:sink ()) g a in
+            Sink.emit sink (Event.of_reply r);
             show_enforce_reply r;
             0
           end
-          else
-          match journal with
-          | None ->
-              Sink.emit sink
-                (Event.run_header ~program:e.Paper.name ~arity:g.Graph.arity
-                   ~mode:(Dynamic.mode_name mode)
-                   ~allowed:
-                     (Option.value (Policy.allowed_indices p)
-                        ~default:Iset.empty)
-                   ~inputs:a);
-              let r = Run.run (Run.config ~policy:p ~mode ~trace:sink ()) g a in
-              Sink.emit sink (Event.of_reply r);
-              show_enforce_reply r;
-              0
-          | Some dir ->
-              if Policy.allowed_indices p = None then begin
-                prerr_endline "journaled enforcement needs an allow(...) policy";
-                exit 2
-              end;
-              let cfg =
-                Dynamic.config ~mode ~emit:(Sink.emitter ~graph:g sink) p
-              in
-              journaled_run ~dir ~kill_at ~snapshot_every ~sink
-                ~program_ref:name ~show_reply:show_enforce_reply cfg g a)
+          else begin
+            if Policy.allowed_indices p = None then begin
+              prerr_endline
+                (if shards > 1 then
+                   "distributed enforcement needs an allow(...) policy"
+                 else "journaled enforcement needs an allow(...) policy");
+              exit 2
+            end;
+            durable_run ~dir:journal ~kill_at ~snapshot_every ~program_ref:name
+              ~show_reply:show_enforce_reply
+              (Run.config ~policy:p ~mode ~shards ~trace:sink ())
+              g a
+          end)
     in
     exit code
   in

@@ -14,10 +14,13 @@ module Dist_shard = Secpol_dist.Shard
 module Dist_coordinator = Secpol_dist.Coordinator
 
 type journal = {
-  media : [ `Memory | `Dir of string ];
+  media : [ `Media of unit -> Media.t | `Dir of string ];
   snapshot_every : int;
   program_ref : string;
+  kill_at : int option;
 }
+
+exception Killed of int
 
 type config = {
   policy : Secpol_core.Policy.t option;
@@ -43,11 +46,55 @@ let config ?policy ?(mode = Dynamic.Surveillance) ?(fuel = Interp.default_fuel)
 
 let journal_memory ?(snapshot_every = Runner.default_snapshot_every)
     ~program_ref () =
-  { media = `Memory; snapshot_every; program_ref }
+  { media = `Media Media.memory; snapshot_every; program_ref; kill_at = None }
 
 let journal_dir ?(snapshot_every = Runner.default_snapshot_every) ~program_ref
     dir =
-  { media = `Dir dir; snapshot_every; program_ref }
+  { media = `Dir dir; snapshot_every; program_ref; kill_at = None }
+
+(* The refusal table of run.mli, row by row, checked before any layer is
+   built. *)
+let validate cfg =
+  let refuse msg = invalid_arg ("Run: " ^ msg) in
+  let killed =
+    match cfg.journal with Some { kill_at = Some _; _ } -> true | _ -> false
+  in
+  if cfg.shards < 1 then refuse "shards must be at least 1";
+  if cfg.shards > Pool.max_jobs then
+    refuse (Printf.sprintf "at most %d shards are supported" Pool.max_jobs);
+  if killed && Option.is_some cfg.guard then
+    refuse
+      "a scripted kill cannot run under a guard (a dying process has no \
+       supervisor to retry it)";
+  if killed && cfg.shards > 1 then
+    refuse
+      "a scripted kill needs a single enforcer; shard kills belong to the \
+       distributed chaos sweep";
+  if cfg.shards > 1 then begin
+    (match cfg.policy with
+    | None -> refuse "distributed enforcement needs a policy"
+    | Some p when Option.is_none (Secpol_core.Policy.allowed_indices p) ->
+        refuse "distributed enforcement needs an allow(J) policy"
+    | Some _ -> ());
+    if cfg.residual then
+      refuse
+        "distributed shards pick their own residual plans; drop the residual \
+         flag";
+    if cfg.hook != Hook.none then
+      refuse
+        "distributed shards do not thread a host fault hook; use the \
+         distributed chaos sweep for fault injection"
+  end
+  else begin
+    if cfg.residual && Option.is_some cfg.journal then
+      refuse
+        "residual monitoring does not journal (a residual taint image would \
+         not resume into a full monitor)";
+    if cfg.residual && Option.is_none cfg.policy then
+      refuse "a residual run needs a policy to certify against";
+    if Option.is_some cfg.journal && Option.is_none cfg.policy then
+      refuse "a journaled run needs a policy"
+  end
 
 (* The stack is composed inside-out: monitor (or plain interpreter), then
    journal, then guard. Each layer is the underlying module verbatim, so a
@@ -91,34 +138,29 @@ let monitored cfg g =
             record stats;
             reply)
       end
-  | None ->
-      if cfg.residual then
-        invalid_arg "Run: a residual run needs a policy to certify against";
-      Interp.graph_mechanism ~fuel:cfg.fuel ~hook:cfg.hook ~emit g
+  | None -> Interp.graph_mechanism ~fuel:cfg.fuel ~hook:cfg.hook ~emit g
 
+(* [validate] refused a journal without a policy. *)
 let journaled cfg j g =
-  let policy =
-    match cfg.policy with
-    | Some p -> p
-    | None -> invalid_arg "Run: a journaled run needs a policy"
-  in
   let emit = Sink.emitter ~graph:g cfg.trace in
   let dcfg =
     Dynamic.config ~fuel:cfg.fuel ~cost:cfg.cost ~hook:cfg.hook ~emit
-      ~mode:cfg.mode policy
+      ~mode:cfg.mode (Option.get cfg.policy)
   in
   let respond a =
     let media =
-      match j.media with `Memory -> Media.memory () | `Dir d -> Media.dir d
+      match j.media with `Media fresh -> fresh () | `Dir d -> Media.dir d
     in
     let outcome =
-      Runner.run ~snapshot_every:j.snapshot_every ~sink:cfg.trace ~media
-        ~program_ref:j.program_ref dcfg g a
+      Fun.protect
+        ~finally:(fun () -> Media.close media)
+        (fun () ->
+          Runner.run ?kill_at:j.kill_at ~snapshot_every:j.snapshot_every
+            ~sink:cfg.trace ~media ~program_ref:j.program_ref dcfg g a)
     in
-    Media.close media;
     match outcome with
     | Runner.Completed r -> r
-    | Runner.Killed _ -> assert false (* no kill_at through this path *)
+    | Runner.Killed { at_box; _ } -> raise (Killed at_box)
   in
   Mechanism.make
     ~name:(Printf.sprintf "journal(%s)" g.Graph.name)
@@ -129,30 +171,11 @@ let journaled cfg j g =
    engine pool, and merge fail-securely. The guard moves INSIDE each
    shard (a shard is total into E ∪ F on its own); the coordinator's
    merge supplies the outer totalization, collapsing every distributed
-   failure to Λ/partition. *)
+   failure to Λ/partition. [validate] refused every policy but allow(J). *)
 let distributed cfg g =
-  let policy =
-    match cfg.policy with
-    | Some p -> p
-    | None -> invalid_arg "Run: distributed enforcement needs a policy"
-  in
   let allowed =
-    match Secpol_core.Policy.allowed_indices policy with
-    | Some j -> j
-    | None ->
-        invalid_arg "Run: distributed enforcement needs an allow(J) policy"
+    Option.get (Secpol_core.Policy.allowed_indices (Option.get cfg.policy))
   in
-  if cfg.residual then
-    invalid_arg
-      "Run: distributed shards pick their own residual plans; drop the \
-       residual flag";
-  if cfg.hook != Hook.none then
-    invalid_arg
-      "Run: distributed shards do not thread a host fault hook; use the \
-       distributed chaos sweep for fault injection";
-  if cfg.shards > Pool.max_jobs then
-    invalid_arg
-      (Printf.sprintf "Run: at most %d shards are supported" Pool.max_jobs);
   let guard = Option.value cfg.guard ~default:Guard.default in
   let slices =
     Dist_shard.slices ~shards:cfg.shards ~arity:g.Graph.arity ~allowed
@@ -174,6 +197,10 @@ let distributed cfg g =
     | Some m -> Dist_coordinator.record m ~reply stats
   in
   let respond a =
+    (* Every medium a shard opens (one per attempt) stays open while the
+       coordinator may still ask the shard to resume from it, and is
+       closed once the merge is done. Shard [i] only touches [opened.(i)]. *)
+    let opened = Array.make cfg.shards [] in
     let shards =
       Array.map
         (fun (sl : Dist_shard.slice) ->
@@ -189,9 +216,14 @@ let distributed cfg g =
           match cfg.journal with
           | Some j ->
               let journal () =
-                match j.media with
-                | `Memory -> Media.memory ()
-                | `Dir d -> Media.dir (Filename.concat d (Printf.sprintf "shard-%d" i))
+                let media =
+                  match j.media with
+                  | `Media fresh -> fresh ()
+                  | `Dir d ->
+                      Media.dir (Filename.concat d (Printf.sprintf "shard-%d" i))
+                in
+                opened.(i) <- media :: opened.(i);
+                media
               in
               Dist_shard.create ~guard ~journal
                 ~snapshot_every:j.snapshot_every ~sink:cfg.trace ~fuel:cfg.fuel
@@ -205,9 +237,12 @@ let distributed cfg g =
       if cfg.jobs > 1 then Sink.synchronized cfg.trace else cfg.trace
     in
     let reply, stats =
-      Dist_coordinator.enforce ~sink ~jobs:cfg.jobs
-        ~nonce:(Dist_coordinator.fresh_nonce ())
-        shards a
+      Fun.protect
+        ~finally:(fun () -> Array.iter (List.iter Media.close) opened)
+        (fun () ->
+          Dist_coordinator.enforce ~sink ~jobs:cfg.jobs
+            ~nonce:(Dist_coordinator.fresh_nonce ())
+            shards a)
     in
     record ~reply stats;
     reply
@@ -220,21 +255,17 @@ let distributed cfg g =
     ~arity:g.Graph.arity respond
 
 let mechanism cfg g =
-  if cfg.shards < 1 then invalid_arg "Run: shards must be at least 1";
+  validate cfg;
   if cfg.shards > 1 then distributed cfg g
   else
-  let base =
-    match cfg.journal with
-    | Some _ when cfg.residual ->
-        invalid_arg
-          "Run: residual monitoring does not journal (a residual taint \
-           image would not resume into a full monitor)"
-    | Some j -> journaled cfg j g
-    | None -> monitored cfg g
-  in
-  match cfg.guard with
-  | Some gc -> Guard.protect ~config:gc ~sink:cfg.trace base
-  | None -> base
+    let base =
+      match cfg.journal with
+      | Some j -> journaled cfg j g
+      | None -> monitored cfg g
+    in
+    match cfg.guard with
+    | Some gc -> Guard.protect ~config:gc ~sink:cfg.trace base
+    | None -> base
 
 let run cfg g a = Mechanism.respond (mechanism cfg g) a
 

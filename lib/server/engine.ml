@@ -1,6 +1,5 @@
 module Mechanism = Secpol_core.Mechanism
 module Policy = Secpol_core.Policy
-module Soundness = Secpol_core.Soundness
 module Space = Secpol_core.Space
 module Value = Secpol_core.Value
 module Dynamic = Secpol_taint.Dynamic
@@ -9,6 +8,8 @@ module Hook = Secpol_flowgraph.Hook
 module Guard = Secpol_fault.Guard
 module Runner = Secpol_journal.Runner
 module Media = Secpol_journal.Media
+module Run = Secpol.Run
+module Analyze = Secpol.Analyze
 module Codec = Secpol_journal.Codec
 module Paper = Secpol_corpus.Paper_programs
 module Sink = Secpol_trace.Sink
@@ -30,7 +31,6 @@ type config = {
   jobs : int;
   breaker_threshold : int;
   breaker_cooldown : float;
-  snapshot_every : int;
   session_cache : bool;
   ikey_space_limit : int;
   hook : Hook.t;
@@ -47,7 +47,6 @@ let default_config =
     jobs = 1;
     breaker_threshold = 3;
     breaker_cooldown = 0.5;
-    snapshot_every = Runner.default_snapshot_every;
     session_cache = true;
     ikey_space_limit = 4096;
     hook = Hook.none;
@@ -74,11 +73,12 @@ let series name = { name; handle = None }
    once per program. *)
 type program = { graph : Graph.t; space : Space.t; digest : string Lazy.t }
 
-(* One session as the engine serves it: its series, the cache counts it
-   last published to them, and the bindings of the programs it has
-   named. *)
+(* One session as the engine serves it: the Run config its requests run
+   under, its series, the cache counts it last published to them, and the
+   bindings of the programs it has named. *)
 type served = {
   session : Session.t;
+  run : Run.config;  (* policy, mode, fuel, guard, and the engine's hook and sink *)
   s_requests : Metrics.counter series;
   s_sheds : Metrics.counter series;
   s_granted : Metrics.counter series;
@@ -99,8 +99,7 @@ and binding = {
   served : served;
   prog : program;
   policy : Policy.t;
-  dcfg : Dynamic.config;  (* the served monitor: hook and trace emitter in *)
-  mech : Mechanism.t;  (* the unjournaled base mechanism over [dcfg] *)
+  mech : Mechanism.t;  (* Run.mechanism of the session's config *)
   tag_i : string;  (* cache-key tags: I-projection and exact keys *)
   tag_exact : string;
   mutable ikey : bool option;
@@ -180,10 +179,18 @@ let resolve t (h : Runner.header) =
 
 let serve_session t session =
   let name = Session.name session in
+  let spec = session.Session.spec in
   let s what = series (Printf.sprintf "server/session/%s/%s" name what) in
   let sv =
     {
       session;
+      run =
+        Run.config
+          ~policy:(Policy.allow_set spec.Wire.allowed)
+          ~mode:spec.Wire.mode ~fuel:spec.Wire.fuel ~hook:t.cfg.hook
+          ~trace:t.sink
+          ~guard:{ Guard.default with Guard.retries = spec.Wire.guard_retries }
+          ();
       s_requests = s "requests";
       s_sheds = s "sheds";
       s_granted = s "granted";
@@ -199,7 +206,8 @@ let serve_session t session =
     }
   in
   Hashtbl.replace t.sessions name sv;
-  t.ungauged <- sv :: t.ungauged
+  t.ungauged <- sv :: t.ungauged;
+  sv
 
 (* ---------- recovery on restart ---------- *)
 
@@ -209,8 +217,7 @@ let serve_session t session =
    journal is untrusted and the verdict is Λ/recovery. Either way the
    request is answered, never silently forgotten. *)
 let recover t =
-  let sessions = Session.load_all t.store in
-  List.iter (serve_session t) sessions;
+  let sessions = List.map (serve_session t) (Session.load_all t.store) in
   if sessions <> [] then begin
     if t.tracing then
       server_event t Event.Restart ~conn:(-1) ~session:""
@@ -218,23 +225,21 @@ let recover t =
     bump t "server/restarts"
   end;
   List.iter
-    (fun s ->
-      if s.Session.spec.Wire.journaled then
-        let prefix = Session.media_prefix ~session:(Session.name s) in
+    (fun sv ->
+      let name = Session.name sv.session in
+      if sv.session.Session.spec.Wire.journaled then
         List.iter
           (fun key ->
             if Store.has_media t.store key then begin
               let media = Store.media t.store key in
-              (match
-                 Runner.resume ~sink:t.sink ~resolve:(resolve t) ~media ()
-               with
+              (match Run.resume sv.run ~resolve:(resolve t) ~media with
               | Ok _ -> bump t "server/resumed-runs"
               | Error Runner.No_journal -> ()
               | Error _ -> bump t "server/recovery-refusals");
               Media.close media;
-              server_event t Event.Resume_serve ~conn:(-1) ~session:(Session.name s) key
+              server_event t Event.Resume_serve ~conn:(-1) ~session:name key
             end)
-          (Store.keys t.store ~prefix))
+          (Store.keys t.store ~prefix:(Session.media_prefix ~session:name)))
     sessions
 
 let create ?(config = default_config) ?(sink = Sink.null) ?metrics ~store ~now:_ () =
@@ -327,10 +332,10 @@ let recovery_reply =
    is {e proven} for this session's mechanism: sound under the timed view,
    so the whole reply — steps included — is constant per I-class and a
    cached representative is bit-identical to a fresh run (DESIGN §13). The
-   proof is the exhaustive Soundness check over the program's corpus
-   space, run once per binding on the clean mechanism; when it fails the
-   key falls back to the full input vector, which is sound for any
-   mechanism.
+   proof is Analyze's soundness check over the program's corpus space, run
+   once per binding on the clean mechanism (the session's config with no
+   hook, sink or guard); when it fails the key falls back to the full
+   input vector, which is sound for any mechanism.
 
    The proof runs synchronously on the serving loop, so it is bounded:
    a space larger than [ikey_space_limit] (or whose size overflows) is
@@ -353,13 +358,17 @@ let ikey_strategy t b =
           false
         end
         else
-          let spec = b.served.session.Session.spec in
-          let m =
-            Dynamic.mechanism
-              (Dynamic.config ~fuel:spec.Wire.fuel ~mode:spec.Wire.mode b.policy)
-              b.prog.graph
+          let clean =
+            { b.served.run with Run.hook = Hook.none; trace = Sink.null; guard = None }
           in
-          Soundness.is_sound ~config:Soundness.timed b.policy m space
+          match
+            Analyze.soundness
+              (Analyze.config ~view:`Timed space)
+              b.policy
+              (Run.mechanism clean b.prog.graph)
+          with
+          | Sound, _ -> true
+          | Unsound _, _ -> false
       in
       b.ikey <- Some v;
       bump t (if v then "server/cache-ikeys" else "server/cache-exact-keys");
@@ -463,12 +472,6 @@ let binding_of t (sv : served) program =
       | None -> None
       | Some prog ->
           let spec = sv.session.Session.spec in
-          let policy = Session.policy sv.session in
-          let dcfg =
-            Dynamic.config ~fuel:spec.Wire.fuel ~hook:t.cfg.hook
-              ~emit:(Sink.emitter ~graph:prog.graph t.sink)
-              ~mode:spec.Wire.mode policy
-          in
           let tag kind =
             Printf.sprintf "%s|fuel=%d|%s" (Dynamic.mode_name spec.Wire.mode)
               spec.Wire.fuel kind
@@ -477,9 +480,8 @@ let binding_of t (sv : served) program =
             {
               served = sv;
               prog;
-              policy;
-              dcfg;
-              mech = Dynamic.mechanism dcfg prog.graph;
+              policy = Option.get sv.run.Run.policy;
+              mech = Run.mechanism sv.run prog.graph;
               tag_i = tag "I";
               tag_exact = tag "exact";
               ikey = None;
@@ -539,17 +541,17 @@ let handle_resume t (cn : conn) (session_name : string) request_id =
   | None ->
       refuse t cn "unknown-session"
         (Printf.sprintf "no session %S (resume %d)" session_name request_id)
-  | Some { session; _ } ->
+  | Some sv ->
       let reply =
-        if not session.Session.spec.Wire.journaled then recovery_reply
+        if not sv.session.Session.spec.Wire.journaled then recovery_reply
         else
           let key = Session.media_key ~session:session_name ~request_id in
           if not (Store.has_media t.store key) then recovery_reply
           else begin
             let media = Store.media t.store key in
-            let res = Runner.resume ~sink:t.sink ~resolve:(resolve t) ~media () in
+            let res = Run.resume sv.run ~resolve:(resolve t) ~media in
             Media.close media;
-            Guard.reply_of_recovery (Result.map (fun r -> r.Runner.reply) res)
+            Run.reply_of_resume res
           end
       in
       (if reply.Mechanism.response = recovery_reply.Mechanism.response then
@@ -577,7 +579,7 @@ let handle_request t (cn : conn) ~now req =
               (Printf.sprintf "session %S exists with a different config" spec.Wire.session)
         | None ->
             let s = Session.create spec in
-            serve_session t s;
+            ignore (serve_session t s);
             Session.save t.store s;
             server_event t Event.Session_open ~conn:cn.id ~session:spec.Wire.session "";
             bump t "server/sessions";
@@ -602,82 +604,79 @@ let drain t ~now:_ =
 
 (* ---------- execution ---------- *)
 
-(* A journaled run: the binding's monitor, driven by the Runner over the
-   request's own medium. *)
-let journaled_mechanism t b (e : Wire.enforce) ~kill_at =
+(* A journaled request runs under its session's config plus a journal on
+   the request's own store medium. A scripted kill also drops the guard,
+   which Run refuses beside a kill: no supervisor retries a dying
+   process. *)
+let journaled_config t b (e : Wire.enforce) ~kill_at =
   let key =
     Session.media_key ~session:(Session.name b.served.session) ~request_id:e.Wire.request_id
   in
-  let g = b.prog.graph in
-  Mechanism.make
-    ~name:(Printf.sprintf "serve-journal(%s)" Graph.(g.name))
-    ~arity:Graph.(g.arity)
-    (fun a ->
-      let media = Store.media t.store key in
-      let outcome =
-        Runner.run ?kill_at ~snapshot_every:t.cfg.snapshot_every ~sink:t.sink
-          ~media ~program_ref:e.Wire.program b.dcfg g a
-      in
-      Media.close media;
-      match outcome with
-      | Runner.Completed r -> r
-      | Runner.Killed _ -> raise Died)
+  let journal =
+    {
+      Run.media = `Media (fun () -> Store.media t.store key);
+      snapshot_every = Runner.default_snapshot_every;
+      program_ref = e.Wire.program;
+      kill_at;
+    }
+  in
+  let run = b.served.run in
+  {
+    run with
+    Run.journal = Some journal;
+    guard = (match kill_at with None -> run.Run.guard | Some _ -> None);
+  }
 
-(* One queue entry: the scripted kill (if armed) fires here; otherwise
-   the run goes through the session's guard so the reply is total into
-   E ∪ F whatever the monitor does. An unjournaled run is exactly Guard
-   over Dynamic, the same two layers Run.mechanism composes, so a served
-   verdict is bit-identical to a local run under the same config. *)
+(* One queue entry. A journaled session's run goes through Run on the
+   request's own medium, where the scripted kill (if armed) fires; an
+   unjournaled one replays a cache hit or runs the session's guarded
+   mechanism. Unless a kill strikes, the reply is total into E ∪ F
+   whatever the monitor does. *)
 let execute_one t (w : work) inputs =
   let b = w.w_binding in
   let session = b.served.session in
   let kill_at = t.kill_at in
   t.kill_at <- None;
-  match kill_at with
-  | Some _ when not session.Session.spec.Wire.journaled ->
-      (* Process death before anything durable happened: the run simply
-         never existed. Resume later finds no journal -> Λ/recovery. *)
-      raise Died
-  | Some at ->
-      let m = journaled_mechanism t b w.w_enforce ~kill_at:(Some at) in
-      (* An armed kill strikes during the run (Died) unless the run ends
-         before box [at]; either way no guard retries a killed process. *)
-      let reply = Mechanism.respond m inputs in
-      (reply, false)
-  | None -> (
-      let cached =
-        match w.w_ckey with
-        | Some key -> Cache.find session.Session.cache key
-        | None -> None
-      in
-      match cached with
-      | Some reply -> (reply, false)
-      | None ->
-          let m =
-            if session.Session.spec.Wire.journaled then
-              journaled_mechanism t b w.w_enforce ~kill_at:None
-            else b.mech
-          in
-          let outcome, steps =
-            Guard.run ~config:(Session.guard_config session) ~sink:t.sink m inputs
-          in
-          let degraded = match outcome with Guard.Degraded _ -> true | _ -> false in
-          let reply = Guard.reply_of_outcome (outcome, steps) in
-          (match w.w_ckey with
-          | Some key when (not degraded) && cacheable reply ->
-              Cache.store session.Session.cache key reply
-          | _ -> ());
-          (reply, degraded))
+  if session.Session.spec.Wire.journaled then
+    (* An armed kill strikes during the run (Died) unless the run ends
+       before the kill's box. *)
+    try Run.run (journaled_config t b w.w_enforce ~kill_at) b.prog.graph inputs
+    with Run.Killed _ -> raise Died
+  else if Option.is_some kill_at then
+    (* Process death before anything durable happened: the run simply
+       never existed. Resume later finds no journal -> Λ/recovery. *)
+    raise Died
+  else
+    let cached =
+      match w.w_ckey with
+      | Some key -> Cache.find session.Session.cache key
+      | None -> None
+    in
+    match cached with
+    | Some reply -> reply
+    | None ->
+        let reply = Mechanism.respond b.mech inputs in
+        (match w.w_ckey with
+        | Some key when cacheable reply -> Cache.store session.Session.cache key reply
+        | _ -> ());
+        reply
 
+(* Count the reply by kind. Returns whether the guard gave up on the run
+   (Λ/degraded), the outcome that trips the session's breaker. *)
 let classify t (reply : Mechanism.reply) =
   match reply.Mechanism.response with
-  | Mechanism.Granted _ -> bump t "server/granted"
+  | Mechanism.Granted _ ->
+      bump t "server/granted";
+      false
   | Mechanism.Denied n ->
-      if n = Guard.degraded_notice || n = Guard.recovery_notice then
-        bump t "server/fault-denials"
+      let degraded = n = Guard.degraded_notice in
+      if degraded || n = Guard.recovery_notice then bump t "server/fault-denials"
       else if n = Wire.overload_notice then bump t "server/overload-denials"
-      else bump t "server/monitor-denials"
-  | Mechanism.Hung | Mechanism.Failed _ -> bump t "server/breaches"
+      else bump t "server/monitor-denials";
+      degraded
+  | Mechanism.Hung | Mechanism.Failed _ ->
+      bump t "server/breaches";
+      false
 
 let execute t ~now =
   let budget = t.cfg.exec_budget in
@@ -719,13 +718,13 @@ let execute t ~now =
     in
     Metrics.set (Metrics.gauge t.ms "server/pool-in-flight") 0;
     Array.iteri
-      (fun i (reply, degraded) ->
+      (fun i reply ->
         let e = batch.(i) in
         let w = e.Admission.work in
         let sv = w.w_binding.served in
+        let degraded = classify t reply in
         Session.record_outcome sv.session ~now ~threshold:t.cfg.breaker_threshold
           ~cooldown:t.cfg.breaker_cooldown ~degraded;
-        classify t reply;
         bump t "server/served";
         (match reply.Mechanism.response with
         | Mechanism.Granted _ -> sbump t sv.s_granted

@@ -15,19 +15,27 @@
     foreign-version and slow-written frames cost the sender its
     connection ({!Wire.Refused}, then close), never the server.
 
+    Layers: each session is one {!Secpol.Run.config} (its policy, mode,
+    fuel and guard, with the engine's hook and sink), and every request
+    runs through {!Secpol.Run.mechanism} of it; a journaled request adds
+    a {!Secpol.Run.journal} on its own {!Store.media} key. The engine
+    composes no layer itself, so {!Secpol.Run}'s refusal table is the
+    service's too.
+
     Crash-restart: {!create} on a non-empty {!Store.t} first rebuilds
     every session from its manifest, then re-runs recovery
-    ({!Secpol_journal.Runner.resume}) over every journaled request
-    medium, so interrupted runs complete (or degrade to [Λ/recovery])
-    before the first reconnecting client asks via {!Wire.Resume}. *)
+    ({!Secpol.Run.resume}) over every journaled request medium, so
+    interrupted runs complete (or degrade to [Λ/recovery]) before the
+    first reconnecting client asks via {!Wire.Resume}. *)
 
 module Sink = Secpol_trace.Sink
 module Metrics = Secpol_trace.Metrics
 module Hook = Secpol_flowgraph.Hook
 
 exception Died
-(** Raised out of {!step} when a scripted kill strikes mid-request — the
-    in-process stand-in for process death. The engine must be discarded;
+(** Raised out of {!step} when a scripted kill ({!kill_next}) strikes
+    mid-request — the in-process stand-in for process death, and the
+    engine's form of {!Secpol.Run.Killed}. The engine must be discarded;
     build a new one on the same store to model the restart. *)
 
 type config = {
@@ -40,7 +48,6 @@ type config = {
   jobs : int;  (** domains for batch execution (1 = sequential) *)
   breaker_threshold : int;  (** consecutive degraded outcomes that trip it *)
   breaker_cooldown : float;  (** seconds the breaker stays open *)
-  snapshot_every : int;  (** journal snapshot cadence for journaled runs *)
   session_cache : bool;
       (** cross-request verdict caching in unjournaled sessions: keyed on
           the sound {!Secpol_engine.Memo} I-projection when the session's
@@ -133,5 +140,7 @@ val queue_length : t -> int
 
 val kill_next : t -> at_box:int -> unit
 (** Script the next executed request to die mid-run: a journaled run is
-    killed after [at_box] journaled boxes ({!Secpol_journal.Runner.run}'s
-    [kill_at]), an unjournaled run dies before leaving any trace. *)
+    killed after [at_box] journaled boxes (its {!Secpol.Run.journal}'s
+    [kill_at], unguarded, whose {!Secpol.Run.Killed} surfaces as
+    {!Died}), an unjournaled run dies before leaving any trace.
+    @raise Invalid_argument if [at_box < 0]. *)

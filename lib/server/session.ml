@@ -1,5 +1,3 @@
-module Policy = Secpol_core.Policy
-module Guard = Secpol_fault.Guard
 module Frame = Secpol_journal.Frame
 
 type t = {
@@ -23,11 +21,6 @@ let create spec =
   }
 
 let name t = t.spec.Wire.session
-
-let policy t = Policy.allow_set t.spec.Wire.allowed
-
-let guard_config t =
-  { Guard.default with Guard.retries = t.spec.Wire.guard_retries }
 
 let spec_equal (a : Wire.open_session) (b : Wire.open_session) = a = b
 

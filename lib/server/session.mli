@@ -2,7 +2,8 @@
 
     A session is the unit of client configuration: an [allow(J)] policy,
     a monitor mode, a fuel budget, a guard retry budget, and whether runs
-    are journaled. Its manifest is persisted in the {!Store} (encoded
+    are journaled. {!Engine} runs its requests under one
+    {!Secpol.Run.config} built from these. Its manifest is persisted in the {!Store} (encoded
     with the {!Wire} codec itself) so a restarted server rebuilds every
     session before any client reconnects; its journaled runs live under
     the session's key prefix, one medium per request id — which also
@@ -35,11 +36,6 @@ val cache_capacity : int
 val create : Wire.open_session -> t
 
 val name : t -> string
-
-val policy : t -> Secpol_core.Policy.t
-
-val guard_config : t -> Secpol_fault.Guard.config
-(** {!Secpol_fault.Guard.default} with the session's retry budget. *)
 
 val spec_equal : Wire.open_session -> Wire.open_session -> bool
 

@@ -462,7 +462,37 @@ let test_run_facade_parity_and_refusals () =
       Run.run (Run.config ~policy ~shards:2 ~residual:true ()) graph
         denying_input);
   refused "zero shards" (fun () ->
-      Run.run (Run.config ~policy ~shards:0 ()) graph denying_input)
+      Run.run (Run.config ~policy ~shards:0 ()) graph denying_input);
+  let killed =
+    { (Run.journal_memory ~program_ref:entry.Paper.name ()) with Run.kill_at = Some 1 }
+  in
+  refused "a kill beside a guard" (fun () ->
+      Run.run (Run.config ~policy ~guard:Guard.default ~journal:killed ()) graph
+        denying_input);
+  refused "a kill beside shards" (fun () ->
+      Run.run (Run.config ~policy ~shards:2 ~journal:killed ()) graph
+        denying_input)
+
+(* Every medium a journaled shard opens is closed once its run is merged:
+   50 sharded runs into a journal directory leave no file open. *)
+let test_run_facade_closes_shard_media () =
+  let open_fds () = Array.length (Sys.readdir "/proc/self/fd") in
+  if Sys.file_exists "/proc/self/fd" then
+    with_scratch_dir (fun dir ->
+        let cfg =
+          Run.config ~policy ~shards:2
+            ~journal:(Run.journal_dir ~program_ref:entry.Paper.name dir)
+            ()
+        in
+        ignore (Run.batch cfg graph [ denying_input ]);
+        let before = open_fds () in
+        let replies, _ =
+          Run.batch cfg graph
+            (List.init 50 (fun i ->
+                 if i mod 2 = 0 then denying_input else granting_input))
+        in
+        Alcotest.(check int) "50 runs answered" 50 (List.length replies);
+        Alcotest.(check int) "no shard journal left open" before (open_fds ()))
 
 let test_run_facade_metrics () =
   let m = Secpol_trace.Metrics.create () in
@@ -543,6 +573,8 @@ let () =
           Alcotest.test_case "parity-and-refusals" `Quick
             test_run_facade_parity_and_refusals;
           Alcotest.test_case "metrics" `Quick test_run_facade_metrics;
+          Alcotest.test_case "shard-media-closed" `Quick
+            test_run_facade_closes_shard_media;
         ] );
       ( "events",
         [

@@ -151,6 +151,45 @@ let test_resume_roundtrip () =
           check_replies "reply_of_resume unwraps the success" a original
             (Run.reply_of_resume result))
 
+(* A scripted kill stops the journaled run with Run.Killed; resuming its
+   medium finishes the run to the reply of the same run without a kill,
+   bit for bit. On a directory and on a memory medium kept by the
+   caller. *)
+let test_kill_then_resume () =
+  let e = Paper.find "loop-then-secretfree" in
+  let g = Paper.graph e in
+  let p = Policy.allow [ 0; 1 ] in
+  let a = ints [ 6; 1 ] in
+  let journal = Run.journal_memory ~program_ref:e.Paper.name () in
+  let want = Run.run (Run.config ~policy:p ~journal ()) g a in
+  let kill_then_resume what journal media =
+    let cfg =
+      Run.config ~policy:p ~journal:{ journal with Run.kill_at = Some 10 } ()
+    in
+    (match Run.run cfg g a with
+    | r -> Alcotest.failf "%s: the kill never struck (%s)" what (show_mech_reply r)
+    | exception Run.Killed n ->
+        Alcotest.(check int) (what ^ ": killed at the scripted box") 10 n);
+    let m = media () in
+    let result = Run.resume (Run.config ()) ~resolve ~media:m in
+    Media.close m;
+    match result with
+    | Error f -> Alcotest.failf "%s: resume failed: %s" what (Runner.failure_message f)
+    | Ok res ->
+        Alcotest.(check bool) (what ^ ": the run was unfinished") false
+          res.Runner.was_complete;
+        check_replies (what ^ ": resumed reply = unkilled reply") a want
+          (Run.reply_of_resume result)
+  in
+  with_scratch_dir (fun dir ->
+      kill_then_resume "directory"
+        (Run.journal_dir ~program_ref:e.Paper.name dir)
+        (fun () -> Media.dir dir));
+  let kept = Media.memory () in
+  kill_then_resume "kept memory"
+    { journal with Run.media = `Media (fun () -> kept) }
+    (fun () -> kept)
+
 let () =
   Alcotest.run "run-facade"
     [
@@ -173,6 +212,9 @@ let () =
             test_batch_refuses_shared_dir_journal;
         ] );
       ( "resume",
-        [ Alcotest.test_case "roundtrip via the facade" `Quick test_resume_roundtrip ]
+        [
+          Alcotest.test_case "roundtrip via the facade" `Quick test_resume_roundtrip;
+          Alcotest.test_case "kill then resume" `Quick test_kill_then_resume;
+        ]
       );
     ]

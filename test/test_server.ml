@@ -608,27 +608,38 @@ let denial_of d id =
       Alcotest.failf "request %d: expected a denial, got %s" id
         (Harness.show_response r)
 
-(* Clean parity: through the whole service stack, every verdict is
+(* Clean parity: through the whole service stack, cached and journaled,
+   under every allow(J) of the program's arity, every verdict is
    bit-identical to the clean monitor's. *)
 let test_engine_clean_parity () =
   List.iter
     (fun name ->
       let entry = Paper.find name in
-      let policy = Policy.allow [ 0 ] in
-      let d = driver ~policy () in
       let inputs =
         Array.of_list (List.of_seq (Space.enumerate entry.Paper.space))
       in
-      Array.iteri (fun id a -> enforce d ~id entry a) inputs;
-      settle d;
-      Array.iteri
-        (fun id a ->
-          let got = reply_of d id in
-          let want = clean_reply entry ~policy a in
-          if got <> want then
-            Alcotest.failf "%s input %d: %s, clean %s" name id
-              (Harness.show_reply got) (Harness.show_reply want))
-        inputs)
+      let k = Array.length inputs.(0) in
+      for mask = 0 to (1 lsl k) - 1 do
+        let policy =
+          Policy.allow (List.filter (fun i -> mask land (1 lsl i) <> 0) (List.init k Fun.id))
+        in
+        List.iter
+          (fun journaled ->
+            let d = driver ~journaled ~policy () in
+            Array.iteri (fun id a -> enforce d ~id entry a) inputs;
+            settle d;
+            Array.iteri
+              (fun id a ->
+                let got = reply_of d id in
+                let want = clean_reply entry ~policy a in
+                if got <> want then
+                  Alcotest.failf "%s %s%s input %d: %s, clean %s" name
+                    (Policy.name policy)
+                    (if journaled then " journaled" else "")
+                    id (Harness.show_reply got) (Harness.show_reply want))
+              inputs)
+          [ false; true ]
+      done)
     [ "ex7"; "forgetting"; "constant-branch" ]
 
 (* A deadline of zero is already expired: always Λ/overload, never served,
