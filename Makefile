@@ -90,9 +90,9 @@ chaos-par:
 	dune exec bin/secpol_cli.exe -- chaos --dist --seeds 30 --jobs 4
 	dune exec bin/secpol_cli.exe -- chaos --server --seeds 100 --jobs 4
 
-# Refined-vs-brute differential sweep: partition refinement (the default
-# algorithm behind Secpol.Analyze and `secpol measure --algo refine`) must
-# reproduce the brute-force yardstick bit-for-bit — class tables under both
+# Refined-vs-brute differential sweep: Secpol.Analyze's refined path (the
+# default, `secpol measure --algo refine`) must reproduce the brute-force
+# oracle (Maximal, Soundness) bit-for-bit — class tables under both
 # observables, mechanisms, grant tallies, soundness verdicts and witnesses —
 # over the corpus, random programs and adversarial spaces, at jobs 1 and 4.
 # The same suite runs inside `dune runtest` (test/test_refine.ml).

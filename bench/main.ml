@@ -267,10 +267,10 @@ let scaling_tests =
     @ List.map maximal_at [ 4; 8; 16 ]
     @ List.map maximal_refined_at [ 32 ])
 
-(* The parallel engine: the same exhaustive checks and chaos sweep, routed
-   through the domain pool at 1 domain vs the widest width this machine
-   actually supports. Hard-coding 4 domains inverts the comparison on a
-   1-core container — the pool pays domain spawn and handoff with no
+(* The parallel engine: the same refined exhaustive checks and chaos sweep,
+   routed through the domain pool at 1 domain vs the widest width this
+   machine actually supports. Hard-coding 4 domains inverts the comparison
+   on a 1-core container — the pool pays domain spawn and handoff with no
    parallelism to buy it back — so the [-par] rows clamp to
    [min 4 (Domain.recommended_domain_count ())] and the
    secpol/engine/par-jobs row records the width they ran at. Every series
@@ -280,7 +280,6 @@ let par_jobs = min 4 (Domain.recommended_domain_count ())
 
 let engine_tests =
   let module Sweep = Secpol_fault.Sweep in
-  let module Exhaustive = Secpol_engine.Exhaustive in
   let entries = [ Secpol_corpus.Paper_programs.find "ex7" ] in
   let q = Interp.graph_program graph in
   let space16 = Space.ints ~lo:0 ~hi:15 ~arity:2 in
@@ -293,11 +292,9 @@ let engine_tests =
       staged "chaos-ex7-par" (fun () ->
           Sweep.run ~entries ~seeds:25 ~jobs:par_jobs ());
       staged "soundness-16x16-jobs1" (fun () ->
-          Exhaustive.check ~jobs:1 policy surv space16);
+          Yard.soundness (Yard.config ~jobs:1 space16) policy surv);
       staged "soundness-16x16-par" (fun () ->
-          Exhaustive.check ~jobs:par_jobs policy surv space16);
-      staged "maximal-16x16-par" (fun () ->
-          Exhaustive.build_maximal ~jobs:par_jobs policy q space16);
+          Yard.soundness (Yard.config ~jobs:par_jobs space16) policy surv);
       staged "maximal-16x16-refined" (fun () ->
           Yard.maximal (Yard.config ~jobs:1 space16) policy q);
       staged "maximal-16x16-refined-par" (fun () ->
@@ -607,7 +604,6 @@ let () =
        inputs to equal outputs, so value classes split late and save
        less. Paired interleaved blocks, minimum per side, like the trace
        gate but sized for half-millisecond builds. *)
-  let module Exhaustive = Secpol_engine.Exhaustive in
   let q16 = Interp.graph_program graph in
   let space16 = Space.ints ~lo:0 ~hi:15 ~arity:2 in
   let space32 = Space.ints ~lo:0 ~hi:31 ~arity:2 in
@@ -617,10 +613,10 @@ let () =
     (fun (view, vname, space, side) ->
       let fp = Refine.table_fingerprint in
       let oracle = fp (Maximal.table view policy q16 space) in
-      let seq_tbl, stats = Refine.table_stats view policy q16 space in
-      let (par_tbl, _), _, _ =
-        Exhaustive.maximal_table_refined ~view ~jobs:par_jobs policy q16 space
-      in
+      let refined jobs = Yard.table (Yard.config ~view ~jobs space) policy q16 in
+      let seq_tbl, tel = refined 1 in
+      let par_tbl, _ = refined par_jobs in
+      let stats = Option.get tel.Yard.refine in
       if oracle <> fp seq_tbl || oracle <> fp par_tbl then begin
         Printf.printf "  %s %s: VERDICT DRIFT vs the brute oracle\n" side vname;
         gate := false
@@ -675,7 +671,8 @@ let () =
       Unix.gettimeofday () -. t0
     in
     let brute () = Maximal.table view policy q16 space16 in
-    let refined () = Refine.table view policy q16 space16 in
+    let cfg = Yard.config ~view space16 in
+    let refined () = Yard.table cfg policy q16 in
     ignore (block brute);
     ignore (block refined);
     let best_b = ref infinity and best_r = ref infinity in

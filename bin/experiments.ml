@@ -10,7 +10,6 @@ module Program = Secpol_core.Program
 module Mechanism = Secpol_core.Mechanism
 module Soundness = Secpol_core.Soundness
 module Completeness = Secpol_core.Completeness
-module Maximal = Secpol_core.Maximal
 module Ast = Secpol_flowgraph.Ast
 module Var = Secpol_flowgraph.Var
 module Expr = Secpol_flowgraph.Expr
@@ -31,15 +30,21 @@ module Leakage = Secpol_probe.Leakage
 module Tabulate = Secpol_probe.Tabulate
 module Paper = Secpol_corpus.Paper_programs
 module Generator = Secpol_corpus.Generator
+module Analyze = Secpol_engine.Analyze
 open Expr.Build
 
 let pct r = Printf.sprintf "%3.0f%%" (100.0 *. r)
 let bits b = Printf.sprintf "%.3f" b
 
-let sound_mark ?config policy m space =
-  match Soundness.check ?config policy m space with
+let sound_mark ?view policy m space =
+  match fst (Analyze.soundness (Analyze.config ?view space) policy m) with
   | Soundness.Sound -> "sound"
   | Soundness.Unsound _ -> "UNSOUND"
+
+(* The maximal mechanism's completeness: the yardstick every other ratio
+   is bounded by. *)
+let maximal_ratio policy q space =
+  fst (Analyze.maximal_ratio (Analyze.config space) policy q)
 
 let header title = Printf.printf "\n=== %s ===\n" title
 
@@ -93,7 +98,7 @@ let e1 () =
                   (Compile.compile (Transforms.sink_into_branches e.Paper.prog))));
           ratio ite_m;
           (match while_m with Some m -> ratio m | None -> "-");
-          ratio (Maximal.build policy q space);
+          pct (maximal_ratio policy q space);
         ])
     Paper.all;
   Tabulate.print t;
@@ -121,7 +126,7 @@ let e2 () =
               e.Paper.name;
               Dynamic.mode_name mode;
               sound_mark policy m e.Paper.space;
-              sound_mark ~config:Soundness.timed policy m e.Paper.space;
+              sound_mark ~view:`Timed policy m e.Paper.space;
             ])
         Dynamic.all_modes)
     [ Paper.forgetting; Paper.scoped_trap; Paper.loop_then_secretfree ];
@@ -275,7 +280,7 @@ let e7 () =
         [
           Tape.motion_name motion;
           sound_mark policy m space;
-          sound_mark ~config:Soundness.timed policy m space;
+          sound_mark ~view:`Timed policy m space;
           bits (Leakage.of_program ~view:`Timed policy q space).Leakage.avg_bits;
         ])
     [ Tape.Walk; Tape.Tab_linear; Tape.Tab_constant ];
@@ -317,7 +322,7 @@ let e8 () =
               show [| 0 |] m;
               show [| 2 |] m;
               sound_mark policy m space;
-              sound_mark ~config:Soundness.timed policy m space;
+              sound_mark ~view:`Timed policy m space;
             ])
         [
           (Dmm.Halt_noop, "no-op"); (Dmm.Halt_error, "error notice");
@@ -362,7 +367,7 @@ let e9 () =
             (Dynamic.mechanism (Dynamic.config ~mode:Dynamic.Surveillance policy) g)
             ~q space
         in
-        let rm = Completeness.ratio (Maximal.build policy q space) ~q space in
+        let rm = maximal_ratio policy q space in
         sum_static := !sum_static +. rs;
         sum_surv := !sum_surv +. rd;
         sum_max := !sum_max +. rm;
@@ -400,13 +405,12 @@ let e10 () =
       let ms =
         Dynamic.mechanism (Dynamic.config ~mode:Dynamic.Surveillance e.Paper.policy) (Paper.graph e)
       in
-      let mx = Maximal.build e.Paper.policy q e.Paper.space in
       Tabulate.add_row t
         [
           label;
           "0..7";
           pct (Completeness.ratio ms ~q e.Paper.space);
-          pct (Completeness.ratio mx ~q e.Paper.space);
+          pct (maximal_ratio e.Paper.policy q e.Paper.space);
         ])
     [
       (Paper.thm4_family (fun _ -> 0) ~name:"thm4-zero", "A = 0 everywhere");
@@ -431,8 +435,7 @@ let e10 () =
         (fun hi ->
           let space = Space.ints ~lo:0 ~hi ~arity:1 in
           let q = ruzzo machine input in
-          let mx = Maximal.build Policy.allow_none q space in
-          let r = Completeness.ratio mx ~q space in
+          let r = maximal_ratio Policy.allow_none q space in
           Tabulate.add_row t2
             [
               label;
@@ -528,7 +531,7 @@ let e12 () =
               cost_name;
               Dynamic.mode_name mode;
               pct (Completeness.ratio m ~q:(Interp.graph_program g) space);
-              sound_mark ~config:Soundness.timed policy m space;
+              sound_mark ~view:`Timed policy m space;
               bits (Leakage.of_mechanism ~view:`Timed policy m space).Leakage.avg_bits;
             ])
         [ Dynamic.Surveillance; Dynamic.Timed ])
@@ -608,7 +611,7 @@ let e14 () =
   row "unchecked" (Mechanism.of_program q);
   row "checked (acquiring)" (Capsys.checked sys greedy);
   row "strict (no acquisition)" (Capsys.strict sys greedy);
-  row "maximal (brute force)" (Maximal.build policy q space);
+  row "maximal (brute force)" (fst (Analyze.maximal (Analyze.config space) policy q));
   Tabulate.print t;
   print_string
     "(objects 0 -> 1 -> 2 store a capability chain; the script harvests it.\n\
@@ -691,7 +694,7 @@ let e16 () =
           ratio (Dynamic.mechanism (Dynamic.config ~mode:Dynamic.Surveillance policy) g);
           ratio (Dynamic.mechanism (Dynamic.config ~mode:Dynamic.Timed policy) g);
           ratio (Certify.mechanism ~policy prog);
-          ratio (Maximal.build policy q space);
+          pct (maximal_ratio policy q space);
         ])
     [ []; [ 1 ]; [ 0; 1 ]; [ 1; 2 ]; [ 0; 1; 2 ] ];
   Tabulate.print t;
@@ -772,7 +775,7 @@ let e18 () =
         [
           string_of_int page_size;
           sound_mark policy (Mechanism.of_program q) space;
-          sound_mark ~config:Soundness.timed policy (Mechanism.of_program q) space;
+          sound_mark ~view:`Timed policy (Mechanism.of_program q) space;
           bits (Leakage.of_program ~view:`Timed policy q space).Leakage.avg_bits;
         ])
     [ 1; 2; 5 ];

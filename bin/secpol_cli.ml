@@ -31,7 +31,6 @@ module Sink = Secpol_trace.Sink
 module Provenance = Secpol_trace.Provenance
 module Run = Secpol.Run
 module Pool = Secpol.Pool
-module Exhaustive = Secpol.Exhaustive
 open Cmdliner
 
 (* --- shared arguments --------------------------------------------------- *)
@@ -257,17 +256,28 @@ let snapshot_every_arg =
     & opt int Runner.default_snapshot_every
     & info [ "snapshot-every" ] ~docv:"N" ~doc)
 
+(* --kill-at scripts a crash into a journal, so `run` and `enforce` both
+   refuse it, before anything runs, unless the run is journaled on a
+   single enforcer. *)
+let check_kill_at ~shards ~journal kill_at =
+  if kill_at <> None then begin
+    if shards > 1 then begin
+      prerr_endline
+        "--kill-at applies to journaled single-enforcer runs; with --shards, \
+         kills are exercised by `secpol chaos --dist`";
+      exit 2
+    end;
+    if journal = None then begin
+      prerr_endline "--kill-at requires --journal";
+      exit 2
+    end
+  end
+
 (* A sharded or journaled monitored run, shared by `run` and `enforce`:
    [cfg], journaled into [dir] when given, with the --kill-at fault
    scripted into the journal. Prints the reply, or how to resume a killed
    run, and returns the exit code. *)
 let durable_run ~dir ~kill_at ~snapshot_every ~program_ref ~show_reply cfg g a =
-  if cfg.Run.shards > 1 && kill_at <> None then begin
-    prerr_endline
-      "--kill-at applies to journaled single-enforcer runs; with --shards, \
-       kills are exercised by `secpol chaos --dist`";
-    exit 2
-  end;
   if dir <> None && snapshot_every < 1 then begin
     prerr_endline "--snapshot-every must be at least 1";
     exit 2
@@ -342,6 +352,7 @@ let show_cmd =
 let run_cmd =
   let run name inputs shards journal kill_at snapshot_every trace trace_format =
     let shards = check_shards shards in
+    check_kill_at ~shards ~journal kill_at;
     let e = entry_of_name name in
     let a = parse_inputs inputs in
     check_arity e a;
@@ -411,6 +422,7 @@ let enforce_cmd =
   let run name inputs mode policy shards journal kill_at snapshot_every trace
       trace_format =
     let shards = check_shards shards in
+    check_kill_at ~shards ~journal kill_at;
     let e = entry_of_name name in
     let p = resolve_policy e policy in
     let a = parse_inputs inputs in
@@ -655,9 +667,10 @@ let algo_arg =
   let doc =
     "Analysis algorithm: $(b,refine) partitions the space by policy image \
      and runs the program once per representative until each class is \
-     proven constant or mixed; $(b,brute) enumerates every point. Both \
-     give bit-identical verdicts and tables — brute is kept as the \
-     differential oracle the refined path is gated against."
+     proven constant or mixed, one class per pool task; $(b,brute) \
+     enumerates every point on one domain. Both give bit-identical \
+     verdicts and tables — brute is the sequential oracle the refined \
+     path is gated against. --jobs spreads the refined path only."
   in
   Arg.(
     value
@@ -692,9 +705,9 @@ let measure_cmd =
     let rows = ref [] in
     let add label m =
       (* The exhaustive soundness check is the expensive cell: route it
-         through the Analyze facade (engine pool + chosen algorithm).
-         Verdicts are bit-identical to the sequential Soundness.check
-         whatever --jobs or --algo is. *)
+         through Analyze (the refined path on the engine pool, or the
+         oracle). Verdicts are bit-identical whatever --jobs or --algo
+         is. *)
       let verdict, stats = Analyze.soundness analyze p m in
       note stats;
       let sound =
@@ -702,7 +715,7 @@ let measure_cmd =
         | Soundness.Sound -> "yes"
         | Soundness.Unsound _ -> "NO"
       in
-      let ratio = Analyze.ratio analyze ~q m in
+      let ratio = Completeness.ratio m ~q space in
       let leak = (Leakage.of_mechanism p m space).Leakage.avg_bits in
       rows :=
         Json.Obj
@@ -753,7 +766,8 @@ let measure_cmd =
           "refine: %d refined pass(es): %d run(s), %d skipped by the \
            I-kernel partition@."
           (List.length rs) runs saved);
-    if jobs > 1 then begin
+    (* Only the refined path runs on the pool. *)
+    if jobs > 1 && algo = Analyze.Refine then begin
       let tasks, steals, idle =
         List.fold_left
           (fun (a, b, c) s ->
@@ -771,8 +785,8 @@ let measure_cmd =
     (Cmd.info "measure"
        ~doc:
          "Exhaustively measure every mechanism for a corpus program. The \
-          soundness and maximal-yardstick cells run through the unified \
-          Secpol.Analyze facade; pick the algorithm with --algo.")
+          soundness and maximal-yardstick cells run through Secpol.Analyze; \
+          pick the algorithm with --algo.")
     Term.(const run $ program_arg $ policy_arg $ jobs_arg $ algo_arg $ json_arg)
 
 (* --- leak ------------------------------------------------------------------ *)

@@ -16,7 +16,6 @@ module Policy = Secpol_core.Policy
 module Mechanism = Secpol_core.Mechanism
 module Soundness = Secpol_core.Soundness
 module Completeness = Secpol_core.Completeness
-module Maximal = Secpol_core.Maximal
 module Ast = Secpol_flowgraph.Ast
 module Compile = Secpol_flowgraph.Compile
 module Interp = Secpol_flowgraph.Interp
@@ -26,6 +25,7 @@ module Halt_guard = Secpol_staticflow.Halt_guard
 module Transforms = Secpol_transform.Transforms
 module Tabulate = Secpol_probe.Tabulate
 module Paper = Secpol_corpus.Paper_programs
+module Analyze = Secpol_engine.Analyze
 
 type stage = { label : string; build : Paper.entry -> Mechanism.t option }
 
@@ -89,6 +89,7 @@ let () =
     (fun name ->
       let e = Paper.find name in
       let q = Paper.program e in
+      let analyze = Analyze.config e.Paper.space in
       Printf.printf "\n%s under %s  -  %s\n" e.Paper.name
         (Policy.name e.Paper.policy) e.Paper.paper_ref;
       let t = Tabulate.create ~header:[ "stage"; "applicable"; "serves"; "sound" ] in
@@ -100,7 +101,7 @@ let () =
           | Some m ->
               let ratio = Completeness.ratio m ~q e.Paper.space in
               let sound =
-                match Soundness.check e.Paper.policy m e.Paper.space with
+                match fst (Analyze.soundness analyze e.Paper.policy m) with
                 | Soundness.Sound -> "yes"
                 | Soundness.Unsound _ -> "NO"
               in
@@ -108,12 +109,12 @@ let () =
               Tabulate.add_row t
                 [ s.label; "yes"; Printf.sprintf "%.0f%%" (100.0 *. ratio); sound ])
         stages;
-      let mx = Maximal.build e.Paper.policy q e.Paper.space in
       Tabulate.add_row t
         [
           "(maximal, brute force)";
           "-";
-          Printf.sprintf "%.0f%%" (100.0 *. Completeness.ratio mx ~q e.Paper.space);
+          Printf.sprintf "%.0f%%"
+            (100.0 *. fst (Analyze.maximal_ratio analyze e.Paper.policy q));
           "yes";
         ];
       Tabulate.print t;

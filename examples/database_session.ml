@@ -17,6 +17,7 @@ module Completeness = Secpol_core.Completeness
 module Querydb = Secpol_history.Querydb
 module Capsys = Secpol_capability.Capsys
 module Leakage = Secpol_probe.Leakage
+module Analyze = Secpol_engine.Analyze
 
 let mask_to_names mask =
   let names = [| "alice"; "bob"; "carol" |] in
@@ -82,7 +83,7 @@ let () =
   let q = Capsys.program sys greedy in
   let show label m =
     let sound =
-      match Soundness.check policy m space with
+      match fst (Analyze.soundness (Analyze.config space) policy m) with
       | Soundness.Sound -> "sound"
       | Soundness.Unsound _ -> "UNSOUND"
     in

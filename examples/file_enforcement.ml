@@ -10,7 +10,6 @@ module Policy = Secpol_core.Policy
 module Mechanism = Secpol_core.Mechanism
 module Soundness = Secpol_core.Soundness
 module Completeness = Secpol_core.Completeness
-module Maximal = Secpol_core.Maximal
 module Ast = Secpol_flowgraph.Ast
 module Compile = Secpol_flowgraph.Compile
 module Interp = Secpol_flowgraph.Interp
@@ -18,6 +17,7 @@ module Dynamic = Secpol_taint.Dynamic
 module Certify = Secpol_staticflow.Certify
 module Source = Secpol_lang.Source
 module Tabulate = Secpol_probe.Tabulate
+module Analyze = Secpol_engine.Analyze
 
 let default_file = "examples/programs/wage_gap.spl"
 
@@ -35,6 +35,7 @@ let () =
   let g = Compile.compile prog in
   let q = Interp.graph_program g in
   let space = Space.ints ~lo:0 ~hi:3 ~arity:prog.Ast.arity in
+  let analyze = Analyze.config space in
 
   (* Sweep every single-input policy plus the extremes, and report what
      each enforcement route offers. *)
@@ -50,19 +51,19 @@ let () =
   List.iter
     (fun policy ->
       let bare =
-        match Soundness.check policy (Mechanism.of_program q) space with
+        match fst (Analyze.soundness analyze policy (Mechanism.of_program q)) with
         | Soundness.Sound -> "safe to ship"
         | Soundness.Unsound _ -> "LEAKS"
       in
       let monitor = Dynamic.mechanism (Dynamic.config ~mode:Dynamic.Surveillance policy) g in
-      let mx = Maximal.build policy q space in
       Tabulate.add_row t
         [
           Policy.name policy;
           string_of_bool (Certify.certified ~policy prog);
           bare;
           Printf.sprintf "%.0f%%" (100.0 *. Completeness.ratio monitor ~q space);
-          Printf.sprintf "%.0f%%" (100.0 *. Completeness.ratio mx ~q space);
+          Printf.sprintf "%.0f%%"
+            (100.0 *. fst (Analyze.maximal_ratio analyze policy q));
         ])
     policies;
   Tabulate.print t;

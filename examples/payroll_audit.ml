@@ -16,13 +16,13 @@ module Policy = Secpol_core.Policy
 module Mechanism = Secpol_core.Mechanism
 module Soundness = Secpol_core.Soundness
 module Completeness = Secpol_core.Completeness
-module Maximal = Secpol_core.Maximal
 module Ast = Secpol_flowgraph.Ast
 module Var = Secpol_flowgraph.Var
 module Expr = Secpol_flowgraph.Expr
 module Compile = Secpol_flowgraph.Compile
 module Interp = Secpol_flowgraph.Interp
 module Dynamic = Secpol_taint.Dynamic
+module Analyze = Secpol_engine.Analyze
 module Certify = Secpol_staticflow.Certify
 module Tabulate = Secpol_probe.Tabulate
 open Expr.Build
@@ -34,6 +34,7 @@ and salary = 2
 
 let policy = Policy.allow [ dept; headcount ]
 let space = Space.ints ~lo:0 ~hi:3 ~arity:3
+let analyze = Analyze.config space
 
 (* Query 1: "how big is the department?" — salary never touched. *)
 let q_size =
@@ -88,19 +89,19 @@ let () =
       let q = Interp.graph_program g in
       let certified = Certify.certified ~policy prog in
       let bare_sound =
-        match Soundness.check policy (Mechanism.of_program q) space with
+        match fst (Analyze.soundness analyze policy (Mechanism.of_program q)) with
         | Soundness.Sound -> "safe"
         | Soundness.Unsound _ -> "LEAKS"
       in
       let monitor = Dynamic.mechanism (Dynamic.config ~mode:Dynamic.Surveillance policy) g in
-      let mx = Maximal.build policy q space in
       Tabulate.add_row t
         [
           prog.Ast.name;
           string_of_bool certified;
           bare_sound;
           Printf.sprintf "%.0f%%" (100.0 *. Completeness.ratio monitor ~q space);
-          Printf.sprintf "%.0f%%" (100.0 *. Completeness.ratio mx ~q space);
+          Printf.sprintf "%.0f%%"
+            (100.0 *. fst (Analyze.maximal_ratio analyze policy q));
         ])
     [ q_size; q_overpaid; q_debug; q_dead_store ];
   Tabulate.print t;

@@ -15,6 +15,7 @@ module Expr = Secpol_flowgraph.Expr
 module Compile = Secpol_flowgraph.Compile
 module Interp = Secpol_flowgraph.Interp
 module Dynamic = Secpol_taint.Dynamic
+module Analyze = Secpol_engine.Analyze
 open Expr.Build
 
 let () =
@@ -60,14 +61,15 @@ let () =
 
   (* Soundness is not an aspiration; it is checked, exhaustively. *)
   let space = Space.ints ~lo:0 ~hi:3 ~arity:2 in
-  (match Soundness.check policy monitor space with
+  let sound m = fst (Analyze.soundness (Analyze.config space) policy m) in
+  (match sound monitor with
   | Soundness.Sound -> print_endline "\nexhaustive check: the mechanism is SOUND"
   | Soundness.Unsound w ->
       Format.printf "\nleak found: %a@." Soundness.pp_verdict (Soundness.Unsound w));
 
   (* ... unlike the bare program, which leaks x1 outright. *)
   let bare = Mechanism.of_program (Interp.graph_program graph) in
-  (match Soundness.check policy bare space with
+  (match sound bare with
   | Soundness.Sound -> print_endline "bare program: sound (unexpected!)"
   | Soundness.Unsound w ->
       Format.printf "bare program: %a@." Soundness.pp_verdict (Soundness.Unsound w));

@@ -18,6 +18,7 @@ module Compile = Secpol_flowgraph.Compile
 module Interp = Secpol_flowgraph.Interp
 module Dynamic = Secpol_taint.Dynamic
 module Leakage = Secpol_probe.Leakage
+module Analyze = Secpol_engine.Analyze
 open Expr.Build
 
 let () =
@@ -48,23 +49,23 @@ let () =
 
   let policy = Policy.allow_none in
   let space = Space.ints ~lo:0 ~hi:7 ~arity:1 in
-  let verdict config m =
-    match Soundness.check ~config policy m space with
+  let verdict view m =
+    match fst (Analyze.soundness (Analyze.config ~view space) policy m) with
     | Soundness.Sound -> "sound"
     | Soundness.Unsound _ -> "UNSOUND"
   in
   let bare = Mechanism.of_program q in
   Printf.printf "\nbare program, time hidden:     %s\n"
-    (verdict Soundness.default bare);
+    (verdict `Value bare);
   Printf.printf "bare program, time observable: %s  (%.3f bits leaked)\n"
-    (verdict Soundness.timed bare)
+    (verdict `Timed bare)
     (Leakage.of_program ~view:`Timed policy q space).Leakage.avg_bits;
 
   (* Surveillance suppresses the value at halt - but the HALT arrives at a
      secret-dependent moment, so its violation notices tick out the secret. *)
   let ms = Dynamic.mechanism (Dynamic.config ~mode:Dynamic.Surveillance policy) g in
   Printf.printf "\nsurveillance (suppress at halt), time observable: %s\n"
-    (verdict Soundness.timed ms);
+    (verdict `Timed ms);
   Printf.printf "  leaked through violation timing: %.3f bits\n"
     (Leakage.of_mechanism ~view:`Timed policy ms space).Leakage.avg_bits;
 
@@ -72,7 +73,7 @@ let () =
      the secret can shape the schedule. *)
   let mt = Dynamic.mechanism (Dynamic.config ~mode:Dynamic.Timed policy) g in
   Printf.printf "\ntimed surveillance (abort at the test), time observable: %s\n"
-    (verdict Soundness.timed mt);
+    (verdict `Timed mt);
   Printf.printf "  leaked: %.3f bits\n"
     (Leakage.of_mechanism ~view:`Timed policy mt space).Leakage.avg_bits;
   List.iter

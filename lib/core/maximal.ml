@@ -44,6 +44,3 @@ let classes_of_table tbl =
 
 let build ?(view = `Value) policy q space =
   of_table policy q (table view policy q space)
-
-let granted_classes ?(view = `Value) policy q space =
-  classes_of_table (table view policy q space)

@@ -15,11 +15,11 @@
     [M] granting at [a] must grant [Q(a)] on the whole class of [a], which
     forces [Q] constant there.
 
-    {b Deprecated as an application entry point}: this enumerate-everything
-    builder is kept as the differential oracle for {!Refine} and the
-    engine's refined drivers. New application code should go through
-    [Secpol.Analyze], which picks the refined algorithm (and the engine
-    pool, and raw-run caching) behind one config record. *)
+    {b The oracle}: this enumerate-everything builder is the reference the
+    partition-refined path ([Secpol_engine.Analyze] over {!Refine}) is
+    gated against, and it is what [Analyze]'s [Brute] algorithm runs.
+    Application code measures through [Secpol.Analyze]; tests and the
+    bench name this module directly, as the oracle. *)
 
 type entry = Serve of Program.outcome * Program.Obs.t | Mixed
     (** Per-class verdict: serve [Q]'s common outcome, or deny a mixed
@@ -28,8 +28,8 @@ type entry = Serve of Program.outcome * Program.Obs.t | Mixed
 val table :
   Program.view -> Policy.t -> Program.t -> Space.t -> (Value.t, entry) Hashtbl.t
 (** The class table underlying {!build}: policy image -> verdict, keeping
-    the first-enumerated outcome of each constant class. Exposed so the
-    parallel engine can assemble the same table from precomputed runs. *)
+    the first-enumerated outcome of each constant class. The refined
+    table of [Secpol_engine.Analyze] must equal it entry for entry. *)
 
 val of_table : Policy.t -> Program.t -> (Value.t, entry) Hashtbl.t -> Mechanism.t
 (** The maximal mechanism answering from a precomputed class table. *)
@@ -46,7 +46,3 @@ val build :
     The returned mechanism only answers on inputs of [space].
 
     The mechanism replies in O(1) per call after the precomputation. *)
-
-val granted_classes : ?view:Program.view -> Policy.t -> Program.t -> Space.t -> int * int
-(** [(constant_classes, total_classes)] — how many policy classes the
-    maximal mechanism can serve. *)

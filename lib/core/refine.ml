@@ -10,12 +10,8 @@
    enumeration order, stopping at the first split. Everything the brute
    builder keeps (the first-enumerated outcome of a constant class, the
    Mixed marker) is reproduced bit-for-bit; only the Q runs after a
-   class's first mismatch are skipped.
-
-   The same kernel refines the soundness check: a singleton class can
-   never witness unsoundness (there is nothing policy-equivalent to
-   disagree with), and a class stops mattering once its earliest possible
-   mismatch lies past the best witness found so far. *)
+   class's first mismatch are skipped. The drivers that run this kernel
+   on the engine pool live in Secpol_engine.Analyze. *)
 
 type partition = {
   points : Value.t array array;  (* the whole space, lexicographic order *)
@@ -138,21 +134,12 @@ let partition policy space =
       { points; keys; members }
   | None -> generic_partition policy points
 
-let stats_of pt ~runs =
-  let n = Array.length pt.points in
-  {
-    space_size = n;
-    class_count = Array.length pt.keys;
-    runs;
-    saved = n - runs;
-  }
-
 (* One class, refined: evaluate members in enumeration order against the
    first member's observable, stop at the first split. Returns the brute
    builder's entry for the class — Serve keeps the FIRST member's outcome,
    exactly as Maximal.table's "keep the first-enumerated outcome" does —
-   plus the number of runs spent. Factored out so the parallel driver
-   (Exhaustive) refines the very same way, one class per pool task. *)
+   plus the number of runs spent. Analyze's refined driver runs it as one
+   pool task per class. *)
 let refine_class ~view ~run pt c =
   let ms = pt.members.(c) in
   let n = Array.length ms in
@@ -166,26 +153,6 @@ let refine_class ~view ~run pt c =
       else (Maximal.Mixed, i + 1)
   in
   go 1
-
-let table_stats view policy q space =
-  let pt = partition policy space in
-  let tbl : (Value.t, Maximal.entry) Hashtbl.t = Hashtbl.create 1024 in
-  let runs = ref 0 in
-  Array.iteri
-    (fun c _ ->
-      let entry, r = refine_class ~view ~run:(Program.run q) pt c in
-      runs := !runs + r;
-      Hashtbl.replace tbl pt.keys.(c) entry)
-    pt.members;
-  (tbl, stats_of pt ~runs:!runs)
-
-let table view policy q space = fst (table_stats view policy q space)
-
-let build ?(view = `Value) policy q space =
-  Maximal.of_table policy q (table view policy q space)
-
-let granted_classes ?(view = `Value) policy q space =
-  Maximal.classes_of_table (table view policy q space)
 
 (* The maximal mechanism's grant count, read off the class table: a class
    is granted exactly when its entry serves a proper value (the mechanism
@@ -207,52 +174,6 @@ let grant_count_of_table pt tbl =
       | _ -> ())
     pt.members;
   (!g, Array.length pt.points)
-
-let check_stats ?(config = Soundness.default) policy m space =
-  let pt = partition policy space in
-  let runs = ref 0 in
-  let obs_at i =
-    incr runs;
-    Soundness.canonicalize config
-      (Mechanism.observe config.Soundness.view (Mechanism.respond m pt.points.(i)))
-  in
-  (* (global index of the mismatching point, its class, rep obs, its obs):
-     the candidate witness with the smallest global index is exactly the
-     one the sequential scan reports. Classes and members are visited in
-     enumeration order, and a class is abandoned — or skipped outright —
-     once every mismatch it could still produce lies past the best
-     candidate. *)
-  let best = ref None in
-  let beats i = match !best with None -> true | Some (j, _, _, _) -> i < j in
-  Array.iteri
-    (fun c ms ->
-      let n = Array.length ms in
-      if n > 1 && beats ms.(1) then begin
-        let obs0 = obs_at ms.(0) in
-        let rec scan i =
-          if i < n && beats ms.(i) then
-            let o = obs_at ms.(i) in
-            if Program.Obs.equal o obs0 then scan (i + 1)
-            else best := Some (ms.(i), c, obs0, o)
-        in
-        scan 1
-      end)
-    pt.members;
-  let verdict =
-    match !best with
-    | None -> Soundness.Sound
-    | Some (i, c, obs_a, obs_b) ->
-        Soundness.Unsound
-          {
-            Soundness.input_a = pt.points.(pt.members.(c).(0));
-            input_b = pt.points.(i);
-            obs_a;
-            obs_b;
-          }
-  in
-  (verdict, stats_of pt ~runs:!runs)
-
-let check ?config policy m space = fst (check_stats ?config policy m space)
 
 (* A canonical rendering of a class table, for differential gates: entries
    sorted by key, the Serve outcome pinned through the `Timed observable

@@ -1,7 +1,7 @@
-(** Partition refinement over the I-kernel.
+(** Partition refinement over the I-kernel: the kernel only.
 
     The brute-force yardstick ({!Maximal.table}, {!Soundness.check}) runs
-    [Q] (or the mechanism) on every point of the space. This module gets
+    [Q] (or the mechanism) on every point of the space. Refinement gets
     the same answers from far fewer runs: partition the space by policy
     image first — a pure projection, no interpreter run — then refine each
     class member-by-member in enumeration order, stopping at the first
@@ -9,12 +9,11 @@
     (servable); one that splits is mixed; nothing after the split needs
     evaluating.
 
-    Every result is {b bit-identical} to the brute-force builder's: the
-    class table keeps the first-enumerated outcome of each constant class,
-    the soundness witness is the one the sequential scan would report, and
-    the granted/total tallies match count for count. The brute path stays
-    in-tree as the differential oracle (see [test/test_refine.ml] and the
-    bench gate). *)
+    The one driver of this kernel is [Secpol_engine.Analyze], which runs
+    one class per engine pool task. Every result is {b bit-identical} to
+    the brute-force oracle's: the class table keeps the first-enumerated
+    outcome of each constant class, and the granted/total tallies match
+    count for count (see [test/test_refine.ml] and the bench gate). *)
 
 type partition = {
   points : Value.t array array;
@@ -45,31 +44,8 @@ val refine_class :
 (** [refine_class ~view ~run pt c] refines class [c]: runs the first
     member, then each further member until one disagrees ([Mixed]) or the
     class is exhausted ([Serve] of the first member's outcome). Returns
-    the entry and the number of runs spent. Exposed so parallel drivers
-    ({!Secpol_engine.Exhaustive}) refine one class per task with exactly
-    these semantics. *)
-
-val table :
-  Program.view ->
-  Policy.t ->
-  Program.t ->
-  Space.t ->
-  (Value.t, Maximal.entry) Hashtbl.t
-(** Refined drop-in for {!Maximal.table}: same keys, same entries. *)
-
-val table_stats :
-  Program.view ->
-  Policy.t ->
-  Program.t ->
-  Space.t ->
-  (Value.t, Maximal.entry) Hashtbl.t * stats
-
-val build : ?view:Program.view -> Policy.t -> Program.t -> Space.t -> Mechanism.t
-(** Refined drop-in for {!Maximal.build}. *)
-
-val granted_classes :
-  ?view:Program.view -> Policy.t -> Program.t -> Space.t -> int * int
-(** Refined drop-in for {!Maximal.granted_classes}: (served, total). *)
+    the entry and the number of runs spent. [Secpol_engine.Analyze] runs
+    it as one pool task per class. *)
 
 val grant_count_of_table :
   partition -> (Value.t, Maximal.entry) Hashtbl.t -> int * int
@@ -77,25 +53,6 @@ val grant_count_of_table :
     table without running the mechanism: a class counts iff it serves a
     proper value. Equals [Completeness.grant_count] of the built mechanism
     under either view. *)
-
-val check :
-  ?config:Soundness.config ->
-  Policy.t ->
-  Mechanism.t ->
-  Space.t ->
-  Soundness.verdict
-(** Refined drop-in for {!Soundness.check}: singleton classes are never
-    probed (nothing policy-equivalent to disagree with), and a class is
-    skipped once every mismatch it could still produce lies past the best
-    witness found. The verdict — witness included — is the one the
-    sequential scan reports. *)
-
-val check_stats :
-  ?config:Soundness.config ->
-  Policy.t ->
-  Mechanism.t ->
-  Space.t ->
-  Soundness.verdict * stats
 
 val table_fingerprint : (Value.t, Maximal.entry) Hashtbl.t -> string
 (** Canonical rendering of a class table (entries sorted by key, outcomes

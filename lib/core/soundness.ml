@@ -44,9 +44,6 @@ let check ?(config = default) policy m space =
   in
   match witness with None -> Sound | Some w -> Unsound w
 
-let check_program ?config policy q space =
-  check ?config policy (Mechanism.of_program q) space
-
 let is_sound ?config policy m space =
   match check ?config policy m space with Sound -> true | Unsound _ -> false
 

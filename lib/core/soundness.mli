@@ -16,11 +16,11 @@
     unsound — this is how the model captures leakage-through-error-message
     (Example 4) and negative inference.
 
-    {b Deprecated as an application entry point}: the point-by-point
-    {!check} is kept as the differential oracle for {!Refine.check} and
-    the engine's refined drivers. New application code should go through
-    [Secpol.Analyze], which picks the refined algorithm and the engine
-    pool behind one config record. *)
+    {b The oracle}: the point-by-point {!check} is the reference the
+    partition-refined check in [Secpol_engine.Analyze] is gated against,
+    and it is what [Analyze]'s [Brute] algorithm runs. Application code
+    measures through [Secpol.Analyze]; tests and the bench name this
+    module directly, as the oracle. *)
 
 type config = {
   view : Program.view;  (** is running time observable? *)
@@ -39,8 +39,8 @@ val timed : config
 val canonicalize : config -> Program.Obs.t -> Program.Obs.t
 (** The observable actually compared by {!check}: identity unless
     [identify_violations], which collapses every violation notice to one.
-    Exposed so alternative drivers of the same check (the parallel engine)
-    compare exactly what the sequential check compares. *)
+    Exposed so the refined check in [Secpol_engine.Analyze] compares
+    exactly what the sequential check compares. *)
 
 type witness = {
   input_a : Value.t array;
@@ -55,10 +55,6 @@ val check : ?config:config -> Policy.t -> Mechanism.t -> Space.t -> verdict
 (** Exhaustive soundness check over the space. [Sound] is a proof (for this
     space); [Unsound] carries two policy-equivalent inputs that the user can
     tell apart by watching the mechanism. *)
-
-val check_program : ?config:config -> Policy.t -> Program.t -> Space.t -> verdict
-(** Soundness of the program as its own mechanism, i.e. "does [Q] reveal
-    anything the policy forbids?". *)
 
 val is_sound : ?config:config -> Policy.t -> Mechanism.t -> Space.t -> bool
 

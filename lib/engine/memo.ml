@@ -16,6 +16,10 @@ let exact ~cache ~digest ~tag m =
 
 let checked ?(config = Soundness.default) ~cache ~digest ~tag ~policy ~space m
     =
-  match Soundness.check ~config policy m space with
+  let cfg =
+    Analyze.config ~view:config.Soundness.view
+      ~identify_violations:config.Soundness.identify_violations space
+  in
+  match fst (Analyze.soundness cfg policy m) with
   | Soundness.Sound as v -> (mechanism ~cache ~digest ~tag ~policy m, v)
   | Soundness.Unsound _ as v -> (m, v)

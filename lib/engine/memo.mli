@@ -51,6 +51,7 @@ val checked :
   Secpol_core.Mechanism.t ->
   Secpol_core.Mechanism.t * Secpol_core.Soundness.verdict
 (** [checked] first decides soundness of [m] for [policy] over [space]
-    (exhaustively — meant for the small corpus spaces). [Sound] yields the
+    ({!Analyze.soundness} on one domain — exhaustive, meant for the small
+    corpus spaces). [Sound] yields the
     [I]-memoized mechanism; [Unsound _] returns [m] untouched — the bypass
     path. *)

@@ -2,6 +2,7 @@ module Policy = Secpol_core.Policy
 module Program = Secpol_core.Program
 module Mechanism = Secpol_core.Mechanism
 module Soundness = Secpol_core.Soundness
+module Completeness = Secpol_core.Completeness
 module Ast = Secpol_flowgraph.Ast
 module Graph = Secpol_flowgraph.Graph
 module Compile = Secpol_flowgraph.Compile
@@ -11,6 +12,7 @@ module Certify = Secpol_staticflow.Certify
 module Halt_guard = Secpol_staticflow.Halt_guard
 module Transforms = Secpol_transform.Transforms
 module Search = Secpol_transform.Search
+module Analyze = Secpol_engine.Analyze
 
 type route =
   | Ship_bare of Program.t
@@ -39,7 +41,7 @@ let plan ?(search_depth = 2) ~policy ~space (prog : Ast.prog) =
   | None -> invalid_arg "Release.plan: needs an allow(...) policy");
   let q = Interp.ast_program prog in
   let analyze = Analyze.config space in
-  let ratio m = Analyze.ratio analyze ~q m in
+  let ratio m = Completeness.ratio m ~q space in
   let mx_ratio = fst (Analyze.maximal_ratio analyze policy q) in
   let certified = Certify.certified ~policy prog in
   let finish route mechanism notes =

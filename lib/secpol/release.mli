@@ -45,6 +45,6 @@ val plan :
   report
 (** @raise Invalid_argument on a non-[allow] policy (the enforcement
     constructions need the allow form; check filter policies with
-    {!Secpol_core.Soundness} directly). *)
+    {!Secpol_engine.Analyze} directly). *)
 
 val route_name : route -> string

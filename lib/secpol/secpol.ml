@@ -73,10 +73,9 @@ module Metrics = Secpol_trace.Metrics
 module Pool = Secpol_engine.Pool
 module Cache = Secpol_engine.Cache
 module Memo = Secpol_engine.Memo
-module Exhaustive = Secpol_engine.Exhaustive
 module Run = Run
 module Static = Static
-module Analyze = Analyze
+module Analyze = Secpol_engine.Analyze
 
 (* Measurement. *)
 module Partition = Secpol_probe.Partition

@@ -3,12 +3,12 @@ module Space = Secpol_core.Space
 module Mechanism = Secpol_core.Mechanism
 module Soundness = Secpol_core.Soundness
 module Completeness = Secpol_core.Completeness
-module Maximal = Secpol_core.Maximal
 module Ast = Secpol_flowgraph.Ast
 module Compile = Secpol_flowgraph.Compile
 module Interp = Secpol_flowgraph.Interp
 module Dynamic = Secpol_taint.Dynamic
 module Halt_guard = Secpol_staticflow.Halt_guard
+module Analyze = Secpol_engine.Analyze
 
 type candidate = { label : string; mechanism : Mechanism.t; ratio : float }
 
@@ -59,6 +59,7 @@ let variants ~max_depth ~while_bound prog =
 let search ?(max_depth = 2) ?(while_bound = 4) ~policy ~space prog =
   let q = Interp.ast_program prog in
   let arity = prog.Ast.arity in
+  let analyze = Analyze.config space in
   let discarded = ref [] in
   let consider (label, p') =
     match Transforms.equivalent_on prog p' space with
@@ -84,13 +85,13 @@ let search ?(max_depth = 2) ?(while_bound = 4) ~policy ~space prog =
         in
         List.filter_map
           (fun (label, m) ->
-            if Soundness.is_sound policy m space then
-              Some
-                { label; mechanism = m; ratio = Completeness.ratio m ~q space }
-            else begin
-              discarded := (label, "measured unsound") :: !discarded;
-              None
-            end)
+            match fst (Analyze.soundness analyze policy m) with
+            | Soundness.Sound ->
+                Some
+                  { label; mechanism = m; ratio = Completeness.ratio m ~q space }
+            | Soundness.Unsound _ ->
+                discarded := (label, "measured unsound") :: !discarded;
+                None)
           attempts
   in
   let candidates =
@@ -101,11 +102,10 @@ let search ?(max_depth = 2) ?(while_bound = 4) ~policy ~space prog =
     Mechanism.rename "searched"
       (Mechanism.join_list ~arity (List.map (fun c -> c.mechanism) candidates))
   in
-  let mx = Maximal.build policy q space in
   {
     best;
     best_ratio = Completeness.ratio best ~q space;
     candidates;
-    maximal_ratio = Completeness.ratio mx ~q space;
+    maximal_ratio = fst (Analyze.maximal_ratio analyze policy q);
     discarded = List.rev !discarded;
   }

@@ -303,9 +303,10 @@ let test_maximal_timed_is_stricter () =
   check_ratio "timed maximal serves none" ~expected:0.0 mx_timed ~q space2
 
 let test_granted_classes () =
-  let served, total = Maximal.granted_classes (Policy.allow [ 0 ]) q_first space2 in
+  let classes q = Maximal.classes_of_table (Maximal.table `Value (Policy.allow [ 0 ]) q space2) in
+  let served, total = classes q_first in
   Alcotest.(check (pair int int)) "all classes served" (4, 4) (served, total);
-  let served', total' = Maximal.granted_classes (Policy.allow [ 0 ]) q_linear space2 in
+  let served', total' = classes q_linear in
   Alcotest.(check (pair int int)) "no class served" (0, 4) (served', total')
 
 (* --- Edge cases --------------------------------------------------------- *)

@@ -7,7 +7,6 @@ open Util
 module Pool = Secpol_engine.Pool
 module Cache = Secpol_engine.Cache
 module Memo = Secpol_engine.Memo
-module Exhaustive = Secpol_engine.Exhaustive
 module Harness = Secpol_fault.Harness
 module Sweep = Secpol_fault.Sweep
 module Crash = Secpol_fault.Crash
@@ -291,8 +290,8 @@ let test_exhaustive_maximal_parity () =
           Alcotest.(check (pair int int))
             (Printf.sprintf "%s granted classes (%s)" name
                (Analyze.algo_name algo))
-            (Maximal.granted_classes p q e.Paper.space)
-            (fst (Analyze.granted_classes cfg p q));
+            (Maximal.classes_of_table (Maximal.table `Value p q e.Paper.space))
+            (Maximal.classes_of_table (fst (Analyze.table cfg p q)));
           Alcotest.(check (float 1e-12))
             (Printf.sprintf "%s maximal ratio (%s)" name
                (Analyze.algo_name algo))

@@ -1,19 +1,18 @@
 (* The refined yardstick against its oracle.
 
-   Partition refinement (Refine, and the engine's refined drivers) promises
-   answers bit-identical to the enumerate-everything builders it replaces:
-   same class tables, same mechanisms, same verdicts and witnesses, same
-   granted/total tallies — over the corpus, over random programs, over
-   adversarial partitions (all singletons, one giant class, the degenerate
-   empty-product space), at any jobs, cached or not. This suite is the
-   differential gate: the brute-force path stays in-tree exactly so these
-   comparisons stay meaningful. *)
+   Partition refinement (Analyze's refined path over the Refine kernel)
+   promises answers bit-identical to the enumerate-everything oracle
+   (Maximal, Soundness): same class tables, same mechanisms, same verdicts
+   and witnesses, same granted/total tallies — over the corpus, over random
+   programs, over adversarial partitions (all singletons, one giant class,
+   the degenerate empty-product space), at jobs 1 and 4, cached or not.
+   This suite is the differential gate: the brute-force oracle stays
+   in-tree exactly so these comparisons stay meaningful. *)
 
 open Util
 module Refine = Secpol_core.Refine
 module Cache = Secpol_engine.Cache
-module Exhaustive = Secpol_engine.Exhaustive
-module Analyze = Secpol.Analyze
+module Analyze = Secpol_engine.Analyze
 module Harness = Secpol_fault.Harness
 module Paper = Secpol_corpus.Paper_programs
 module Generator = Secpol_corpus.Generator
@@ -26,67 +25,81 @@ let verdict_str v = Format.asprintf "%a" Soundness.pp_verdict v
 let views = [ (`Value, "value"); (`Timed, "timed") ]
 let both_jobs = [ 1; 4 ]
 
-(* Every comparison between the refined family and the brute oracle for one
-   (policy, program, space, view): sequential core, parallel engine driver
-   at each jobs, tallies and the facade. *)
+(* The refined class table through Analyze, with its refinement stats. *)
+let refined_table ?cache ~view ~jobs policy q space =
+  let tbl, t = Analyze.table (Analyze.config ?cache ~view ~jobs space) policy q in
+  (tbl, Option.get t.Analyze.refine)
+
+(* Every comparison between the refined path and the brute oracle for one
+   (policy, program, space, view), at each jobs: tables, class tallies,
+   runs, grant counts and mechanisms. *)
 let check_against_oracle msg view policy q space =
   let oracle_tbl = Maximal.table view policy q space in
   let oracle_fp = fp oracle_tbl in
   let oracle_classes = Maximal.classes_of_table oracle_tbl in
-  (* Sequential refined core. *)
-  let tbl, stats = Refine.table_stats view policy q space in
-  Alcotest.(check string) (msg ^ ": refined table = oracle") oracle_fp (fp tbl);
-  Alcotest.(check (pair int int))
-    (msg ^ ": refined classes = oracle") oracle_classes
-    (Maximal.classes_of_table tbl);
-  Alcotest.(check bool)
-    (msg ^ ": runs never exceed the space")
-    true
-    (stats.Refine.runs <= stats.Refine.space_size
-    && stats.Refine.saved = stats.Refine.space_size - stats.Refine.runs);
-  (* Parallel refined driver, at each jobs. *)
+  let brute_m = Maximal.of_table policy q oracle_tbl in
+  let pt = Refine.partition policy space in
+  let runs =
+    List.map
+      (fun jobs ->
+        let tbl, stats = refined_table ~view ~jobs policy q space in
+        Alcotest.(check string)
+          (Printf.sprintf "%s: refined table (jobs=%d) = oracle" msg jobs)
+          oracle_fp (fp tbl);
+        Alcotest.(check (pair int int))
+          (Printf.sprintf "%s: refined classes (jobs=%d) = oracle" msg jobs)
+          oracle_classes
+          (Maximal.classes_of_table tbl);
+        Alcotest.(check bool)
+          (msg ^ ": runs never exceed the space")
+          true
+          (stats.Refine.runs <= stats.Refine.space_size
+          && stats.Refine.saved = stats.Refine.space_size - stats.Refine.runs);
+        (* The grant tally read off the table equals the brute point count. *)
+        Alcotest.(check (pair int int))
+          (msg ^ ": grant count off the table = Completeness.grant_count")
+          (Completeness.grant_count brute_m ~q space)
+          (Refine.grant_count_of_table pt tbl);
+        (* The mechanisms reply identically everywhere. *)
+        let refined_m, _ = Analyze.maximal (Analyze.config ~view ~jobs space) policy q in
+        Seq.iter
+          (fun a ->
+            Alcotest.(check string)
+              (Printf.sprintf "%s: maximal reply (jobs=%d) on %s" msg jobs
+                 (Harness.show_input a))
+              (show_mech_reply (Mechanism.respond brute_m a))
+              (show_mech_reply (Mechanism.respond refined_m a)))
+          (Space.enumerate space);
+        stats.Refine.runs)
+      both_jobs
+  in
+  Alcotest.(check (list int))
+    (msg ^ ": runs independent of jobs")
+    (List.map (fun _ -> List.hd runs) runs)
+    runs
+
+let check_soundness_against_oracle msg (config : Soundness.config) policy m
+    space =
+  let oracle = verdict_str (Soundness.check ~config policy m space) in
   List.iter
     (fun jobs ->
-      let (ptbl, pt), prstats, _ =
-        Exhaustive.maximal_table_refined ~view ~jobs policy q space
+      let cfg =
+        Analyze.config ~view:config.Soundness.view
+          ~identify_violations:config.Soundness.identify_violations ~jobs space
       in
       Alcotest.(check string)
-        (Printf.sprintf "%s: refined table (jobs=%d) = oracle" msg jobs)
-        oracle_fp (fp ptbl);
-      Alcotest.(check int)
-        (Printf.sprintf "%s: runs independent of jobs=%d" msg jobs)
-        stats.Refine.runs prstats.Refine.runs;
-      (* The grant tally read off the table equals the brute point count. *)
-      let mx = Maximal.of_table policy q oracle_tbl in
-      let granted, total = Refine.grant_count_of_table pt ptbl in
-      Alcotest.(check (pair int int))
-        (msg ^ ": grant count off the table = Completeness.grant_count")
-        (Completeness.grant_count mx ~q space)
-        (granted, total))
-    both_jobs;
-  (* The mechanisms reply identically everywhere. *)
-  let brute_m = Maximal.build ~view policy q space in
-  let refined_m = Refine.build ~view policy q space in
-  Seq.iter
-    (fun a ->
-      Alcotest.(check string)
-        (Printf.sprintf "%s: maximal reply on %s" msg (Harness.show_input a))
-        (show_mech_reply (Mechanism.respond brute_m a))
-        (show_mech_reply (Mechanism.respond refined_m a)))
-    (Space.enumerate space)
-
-let check_soundness_against_oracle msg config policy m space =
-  let oracle = verdict_str (Soundness.check ~config policy m space) in
-  let seq, _ = Refine.check_stats ~config policy m space in
-  Alcotest.(check string) (msg ^ ": refined verdict = oracle") oracle
-    (verdict_str seq);
-  List.iter
-    (fun jobs ->
-      let par, _ = Exhaustive.check_refined ~config ~jobs policy m space in
-      Alcotest.(check string)
         (Printf.sprintf "%s: refined verdict (jobs=%d) = oracle" msg jobs)
-        oracle (verdict_str par))
+        oracle
+        (verdict_str (fst (Analyze.soundness cfg policy m))))
     both_jobs
+
+(* [m] with every reply counted, safely across domains. *)
+let counting (m : Mechanism.t) =
+  let calls = Atomic.make 0 in
+  ( Mechanism.make ~name:m.Mechanism.name ~arity:m.Mechanism.arity (fun a ->
+        Atomic.incr calls;
+        Mechanism.respond m a),
+    calls )
 
 (* --- corpus x allow(J) x views ----------------------------------------- *)
 
@@ -150,11 +163,14 @@ let test_all_singleton_classes () =
      every run in the soundness check and none in the table build. *)
   let policy = Policy.allow [ 0; 1 ] in
   check_against_oracle "all-singleton" `Value policy q_sum adversarial_space;
-  let _, stats =
-    Refine.check_stats policy (Mechanism.of_program q_sum) adversarial_space
-  in
-  Alcotest.(check int) "singleton classes need no soundness runs" 0
-    stats.Refine.runs;
+  List.iter
+    (fun jobs ->
+      let m, calls = counting (Mechanism.of_program q_sum) in
+      ignore (Analyze.soundness (Analyze.config ~jobs adversarial_space) policy m);
+      Alcotest.(check int)
+        (Printf.sprintf "singleton classes need no soundness runs (jobs=%d)" jobs)
+        0 (Atomic.get calls))
+    both_jobs;
   check_soundness_against_oracle "all-singleton" Soundness.default policy
     (Mechanism.of_program q_sum) adversarial_space
 
@@ -163,9 +179,15 @@ let test_one_giant_class () =
      — the refined build stops after the first split. *)
   let policy = Policy.allow_none in
   check_against_oracle "one-giant-class" `Value policy q_sum adversarial_space;
-  let _, stats = Refine.table_stats `Value policy q_sum adversarial_space in
-  Alcotest.(check int) "mixed giant class stops at the first split" 2
-    stats.Refine.runs;
+  List.iter
+    (fun jobs ->
+      let _, stats =
+        refined_table ~view:`Value ~jobs policy q_sum adversarial_space
+      in
+      Alcotest.(check int)
+        (Printf.sprintf "mixed giant class stops at the first split (jobs=%d)" jobs)
+        2 stats.Refine.runs)
+    both_jobs;
   check_soundness_against_oracle "one-giant-class" Soundness.default policy
     (Mechanism.of_program q_sum) adversarial_space
 
@@ -221,13 +243,9 @@ let prop_random_differential =
             (fun (view, vname) ->
               let msg = Printf.sprintf "%s/%s" (Policy.name policy) vname in
               let oracle = Maximal.table view policy q space in
-              let tbl, _ = Refine.table_stats view policy q space in
-              Alcotest.(check string) (msg ^ ": table") (fp oracle) (fp tbl);
               List.iter
                 (fun jobs ->
-                  let (ptbl, _), _, _ =
-                    Exhaustive.maximal_table_refined ~view ~jobs policy q space
-                  in
+                  let ptbl, _ = refined_table ~view ~jobs policy q space in
                   Alcotest.(check string)
                     (Printf.sprintf "%s: table jobs=%d" msg jobs)
                     (fp oracle) (fp ptbl))
@@ -247,9 +265,8 @@ let test_cache_sharing_across_views () =
   let p = e.Paper.policy in
   let space = e.Paper.space in
   let cache = Cache.create () in
-  let share = { Exhaustive.cache; digest = "ex8"; tag = "raw-Q" } in
-  let run view = Exhaustive.maximal_table_refined ~view ~jobs:1 ~share p q space in
-  let (tbl_v, _), rs_v, _ = run `Value in
+  let run view = refined_table ~cache ~view ~jobs:1 p q space in
+  let tbl_v, rs_v = run `Value in
   Alcotest.(check int) "cold cache: misses = refined runs" rs_v.Refine.runs
     (Cache.misses cache);
   Alcotest.(check string) "cached value-view table = oracle"
@@ -257,13 +274,13 @@ let test_cache_sharing_across_views () =
     (fp tbl_v);
   (* Same view again: zero new misses, identical table. *)
   let misses0 = Cache.misses cache in
-  let (tbl_v2, _), _, _ = run `Value in
+  let tbl_v2, _ = run `Value in
   Alcotest.(check int) "warm cache: no new misses" misses0 (Cache.misses cache);
   Alcotest.(check string) "warm table identical" (fp tbl_v) (fp tbl_v2);
   (* The timed view shares every raw-Q run already cached: the tag excludes
      the view, so only genuinely new points can miss. *)
   let hits0 = Cache.hits cache in
-  let (tbl_t, _), rs_t, _ = run `Timed in
+  let tbl_t, rs_t = run `Timed in
   Alcotest.(check bool) "timed view hits value-view runs" true
     (Cache.hits cache > hits0);
   Alcotest.(check bool) "timed view misses only new points" true
@@ -290,10 +307,10 @@ let test_analyze_brute_equals_refine () =
             (show_mech_reply (Mechanism.respond m_b a))
             (show_mech_reply (Mechanism.respond m_r a)))
         (Space.enumerate e.Paper.space);
+      let classes algo = Maximal.classes_of_table (fst (Analyze.table (at algo) p q)) in
       Alcotest.(check (pair int int))
         (Printf.sprintf "Analyze granted classes jobs=%d" jobs)
-        (fst (Analyze.granted_classes (at Analyze.Brute) p q))
-        (fst (Analyze.granted_classes (at Analyze.Refine) p q));
+        (classes Analyze.Brute) (classes Analyze.Refine);
       Alcotest.(check (float 1e-12))
         (Printf.sprintf "Analyze maximal ratio jobs=%d" jobs)
         (fst (Analyze.maximal_ratio (at Analyze.Brute) p q))
@@ -317,12 +334,15 @@ let test_refine_actually_saves () =
   let space = Space.ints ~lo:0 ~hi:15 ~arity:2 in
   let policy = Policy.allow [ 0 ] in
   check_against_oracle "gcd-16x16" `Value policy gcd space;
-  let _, stats = Refine.table_stats `Value policy gcd space in
-  Alcotest.(check bool)
-    (Printf.sprintf "refinement skips most of 16x16 (ran %d of %d)"
-       stats.Refine.runs stats.Refine.space_size)
-    true
-    (stats.Refine.saved > stats.Refine.space_size / 2)
+  List.iter
+    (fun jobs ->
+      let _, stats = refined_table ~view:`Value ~jobs policy gcd space in
+      Alcotest.(check bool)
+        (Printf.sprintf "refinement skips most of 16x16 (jobs=%d: ran %d of %d)"
+           jobs stats.Refine.runs stats.Refine.space_size)
+        true
+        (stats.Refine.saved > stats.Refine.space_size / 2))
+    both_jobs
 
 let () =
   Alcotest.run "refine"
